@@ -274,6 +274,8 @@ mod tests {
 
     #[test]
     fn scoped_tasks_write_borrowed_slots() {
+        let _g = qs_storage::fault::test_guard();
+        qs_storage::fault::disarm();
         for workers in [1, 2, 4] {
             let m = Metrics::new();
             let pool = WorkerPool::new(workers, m.clone());
@@ -289,6 +291,8 @@ mod tests {
 
     #[test]
     fn panic_fails_run_but_siblings_complete() {
+        let _g = qs_storage::fault::test_guard();
+        qs_storage::fault::disarm();
         let m = Metrics::new();
         let pool = WorkerPool::new(4, m.clone());
         let mut out = [0u64; 8];
@@ -314,6 +318,8 @@ mod tests {
 
     #[test]
     fn single_worker_runs_inline() {
+        let _g = qs_storage::fault::test_guard();
+        qs_storage::fault::disarm();
         let m = Metrics::new();
         let pool = WorkerPool::new(1, m.clone());
         assert_eq!(pool.workers(), 1);
@@ -340,6 +346,8 @@ mod tests {
 
     #[test]
     fn concurrent_runs_from_many_threads_do_not_deadlock() {
+        let _g = qs_storage::fault::test_guard();
+        qs_storage::fault::disarm();
         let m = Metrics::new();
         let pool = WorkerPool::new(2, m.clone());
         std::thread::scope(|s| {

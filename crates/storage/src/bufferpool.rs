@@ -286,6 +286,8 @@ mod tests {
 
     #[test]
     fn hit_after_miss() {
+        let _g = fault::test_guard();
+        fault::disarm();
         let t = table(8, 32); // 2 pages
         let pool = BufferPool::new(BufferPoolConfig::with_capacity(4), mem_disk());
         let p0 = pool.get(&t, 0).unwrap();
@@ -299,6 +301,8 @@ mod tests {
 
     #[test]
     fn eviction_at_capacity_clock_order() {
+        let _g = fault::test_guard();
+        fault::disarm();
         let t = table(16, 32); // 4 pages
         let pool = BufferPool::new(BufferPoolConfig::with_capacity(2), mem_disk());
         pool.get(&t, 0).unwrap();
@@ -316,6 +320,8 @@ mod tests {
 
     #[test]
     fn zero_capacity_always_misses() {
+        let _g = fault::test_guard();
+        fault::disarm();
         let t = table(4, 32);
         let pool = BufferPool::new(BufferPoolConfig::with_capacity(0), mem_disk());
         pool.get(&t, 0).unwrap();
@@ -338,6 +344,8 @@ mod tests {
 
     #[test]
     fn concurrent_same_page_single_flight() {
+        let _g = fault::test_guard();
+        fault::disarm();
         use std::sync::Arc as A;
         let t = A::new(table(4, 32));
         let disk = Arc::new(DiskModel::new(DiskConfig {
@@ -377,6 +385,8 @@ mod tests {
 
     #[test]
     fn clear_drops_residency() {
+        let _g = fault::test_guard();
+        fault::disarm();
         let t = table(8, 32);
         let pool = BufferPool::new(BufferPoolConfig::unbounded(), mem_disk());
         pool.get(&t, 0).unwrap();

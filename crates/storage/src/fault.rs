@@ -23,9 +23,11 @@
 //!    panic, or a stall is decided where the fault is injected (helpers
 //!    below cover the three shapes).
 //!
-//! State is process-global, so tests that arm faults must serialize
-//! against each other (the chaos harness runs its rounds sequentially in
-//! one test binary for exactly this reason).
+//! State is process-global, so tests serialize on [`test_guard`] — not
+//! only the ones that arm faults: a test that merely drives a path with
+//! an injection site evaluates whatever a co-running test has armed (the
+//! chaos harness runs its rounds sequentially in one test binary for the
+//! same reason).
 //!
 //! Arming from the environment: `QS_FAULTS="point=prob[:after],..."`
 //! with `QS_FAULT_SEED=<u64>` (default 0), e.g.
@@ -236,10 +238,14 @@ pub fn maybe_delay(point: &str) -> bool {
     false
 }
 
-/// Serialization lock for tests that arm the process-global registry:
-/// any `#[test]` that calls [`arm`]/[`disarm`] must hold this guard for
+/// Serialization lock for tests that share the process-global registry.
+/// Any `#[test]` that calls [`arm`]/[`disarm`] must hold this guard for
 /// its whole body, or parallel tests in the same binary clobber each
-/// other's fault schedules.
+/// other's fault schedules. So must any test that drives a path with an
+/// injection site (CJOIN channels, FIFO/SPL pushes, the worker pool,
+/// disk reads) whenever a test in the same binary arms the registry:
+/// otherwise it evaluates that test's armed points and fails on them.
+/// Such a test takes the guard and calls [`disarm`] first.
 #[doc(hidden)]
 pub fn test_guard() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());

@@ -12,8 +12,11 @@
 //!    client vanishing mid-stream) never takes down the server; slot
 //!    accounting in the CJOIN pipeline survives mid-chain aborts.
 //!
-//! The failpoint registry is process-global, so tests that arm it hold
-//! [`fault::test_guard`] for their whole body.
+//! The failpoint registry is process-global, and every test here drives
+//! injection sites (CJOIN channels, FIFO/SPL pushes, the pool, disk
+//! reads): a test that does not arm the registry can still evaluate a
+//! co-runner's armed points and abort. So every test holds
+//! [`fault::test_guard`] for its whole body and starts disarmed.
 
 use sharing_repro::prelude::*;
 use sharing_repro::storage::fault;
@@ -140,6 +143,8 @@ fn template_sqls(db: &SharingDb, variants: u64) -> Vec<String> {
 /// the library path exactly. Meta commands interleave with queries.
 #[test]
 fn eight_concurrent_clients_are_oracle_exact() {
+    let _guard = fault::test_guard();
+    fault::disarm();
     let db = build_db(ExecutionMode::GqpSp, 0.002, None);
     let handle = qs_server::serve(db.clone(), "127.0.0.1:0").expect("serve");
     let addr = handle.addr();
@@ -199,6 +204,8 @@ fn eight_concurrent_clients_are_oracle_exact() {
 /// every request terminates as `END` or `ERR SHED`, nothing else.
 #[test]
 fn overload_sheds_with_retry_hint_over_the_wire() {
+    let _guard = fault::test_guard();
+    fault::disarm();
     let db = build_db(
         ExecutionMode::GqpSp,
         0.002,
@@ -310,6 +317,8 @@ fn deadline_expires_as_typed_frame_and_clears() {
 /// listener lives, and fresh connections get exact results.
 #[test]
 fn client_disconnect_mid_stream_cancels_and_server_survives() {
+    let _guard = fault::test_guard();
+    fault::disarm();
     let db = build_db(ExecutionMode::GqpSp, 0.002, None);
     let handle = qs_server::serve(db.clone(), "127.0.0.1:0").expect("serve");
     let addr = handle.addr();
@@ -353,6 +362,8 @@ fn client_disconnect_mid_stream_cancels_and_server_survives() {
 /// connection that stays usable; an unbounded line is refused.
 #[test]
 fn adversarial_sql_gets_typed_frames_and_connection_survives() {
+    let _guard = fault::test_guard();
+    fault::disarm();
     let db = build_db(ExecutionMode::GqpSp, 0.0005, None);
     let handle = qs_server::serve(db.clone(), "127.0.0.1:0").expect("serve");
     let addr = handle.addr();
