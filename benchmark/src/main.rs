@@ -36,14 +36,14 @@ const WORKLOADS: [&str; 3] = ["star-batch-disk", "selective-spl-memory", "sql-wi
 const END_TO_END: [(&str, &str); 5] = [
     ("qps", "queries/s"),
     ("latency_p50_ms", "ms"),
-    ("cpu_ms_per_query", "ms"),
+    ("user_cpu_ms_per_query", "ms"),
     ("setup_s", "s"),
     ("peak_rss_mb", "MiB"),
 ];
 
 /// Per-layer metrics: name and unit. Counters are read from the layers'
 /// snapshots; times are medians over the traced run's spans.
-const PER_LAYER: [(&str, &str); 45] = [
+const PER_LAYER: [(&str, &str); 46] = [
     ("sql.plan_sql_us", "us"),
     ("plan.optimize_us", "us"),
     ("core.submit_us", "us"),
@@ -85,6 +85,7 @@ const PER_LAYER: [(&str, &str); 45] = [
     ("server.overhead_ms", "ms"),
     ("server.rows_framed", "count"),
     ("client.self_us", "us"),
+    ("process.sys_cpu_ms_per_query", "ms"),
     ("trace.qps", "queries/s"),
     ("trace.latency_p50_ms", "ms"),
     ("trace.latency_p99_ms", "ms"),
@@ -132,8 +133,12 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     })
 }
 
+/// Wall time of the timed phase (the sum of its windows), seconds.
 fn wall_s(run: &Run) -> f64 {
-    (run.end - run.start).as_secs_f64()
+    run.windows
+        .iter()
+        .map(|w| (w.end - w.start).as_secs_f64())
+        .sum()
 }
 
 /// One sub-run of the timed phase.
@@ -141,42 +146,70 @@ struct Stretch {
     /// Machine CPU time the hypervisor took during it, ticks per second.
     steal: f64,
     secs: f64,
-    cpu_ms: f64,
+    user_ms: f64,
+    sys_ms: f64,
     latencies_ms: Vec<f64>,
 }
 
-/// Split the completions, in completion order, into `k` sub-runs of
-/// (nearly) equal query count. A sub-run starts where the previous one
-/// ended (the first at the start of the timed phase).
-fn stretches(run: &Run, samples: &[Sample], k: usize) -> Vec<Stretch> {
-    let cpu_at = |t| procfs::at(samples, t, |s| s.cpu_ms);
+/// Split the completions of each timed window, in completion order, into
+/// its sub-runs of (nearly) equal query count. A sub-run starts where the
+/// previous one of its window ended (the first at the window's start).
+fn stretches(run: &Run, samples: &[Sample]) -> Vec<Stretch> {
+    let user_at = |t| procfs::at(samples, t, |s| s.user_ms);
+    let sys_at = |t| procfs::at(samples, t, |s| s.sys_ms);
     let steal_at = |t| procfs::at(samples, t, |s| s.steal as f64);
     let mut done = run.done.clone();
     done.sort_by_key(|d| d.0);
-    let n = done.len();
-    let mut from = run.start;
-    (0..k)
-        .filter_map(|i| {
+    let mut parts = Vec::new();
+    for w in &run.windows {
+        let done: Vec<_> = done
+            .iter()
+            .filter(|d| w.start <= d.0 && d.0 <= w.end)
+            .collect();
+        let (n, k) = (done.len(), w.sub_runs);
+        let mut from = w.start;
+        for i in 0..k {
             let part = &done[i * n / k..(i + 1) * n / k];
-            let to = part.last()?.0;
+            let Some(last) = part.last() else { continue };
+            let to = last.0;
             let secs = (to - from).as_secs_f64();
-            let stretch = Stretch {
+            parts.push(Stretch {
                 steal: ratio(steal_at(to) - steal_at(from), secs),
                 secs,
-                cpu_ms: cpu_at(to) - cpu_at(from),
+                user_ms: user_at(to) - user_at(from),
+                sys_ms: sys_at(to) - sys_at(from),
                 latencies_ms: part.iter().map(|d| d.1).collect(),
-            };
+            });
             from = to;
-            Some(stretch)
-        })
-        .collect()
+        }
+    }
+    parts
 }
 
-/// `[qps, latency_p50_ms, latency_p99_ms, cpu_ms_per_query]` over the
-/// half of the run's sub-runs during which the hypervisor stole the least
-/// CPU time.
-fn steady(run: &Run, samples: &[Sample]) -> [f64; 4] {
-    let mut parts = stretches(run, samples, run.sub_runs);
+/// What a run measured over its steadiest sub-runs.
+#[derive(Debug, PartialEq)]
+struct Steady {
+    qps: f64,
+    p50_ms: f64,
+    p99_ms: f64,
+    user_ms_per_query: f64,
+    sys_ms_per_query: f64,
+}
+
+/// [`Steady`] over the half of the run's sub-runs during which the
+/// hypervisor stole the least CPU time.
+fn steady(run: &Run, samples: &[Sample]) -> Steady {
+    let mut parts = stretches(run, samples);
+    for (i, p) in parts.iter().enumerate() {
+        let n = p.latencies_ms.len() as f64;
+        println!(
+            "sub-run {i}: {:.1} steal ticks/s, {:.1} queries/s, {:.3} user + {:.3} system CPU ms/query",
+            p.steal,
+            ratio(n, p.secs),
+            ratio(p.user_ms, n),
+            ratio(p.sys_ms, n)
+        );
+    }
     parts.sort_by(|a, b| a.steal.total_cmp(&b.steal));
     parts.truncate(parts.len().div_ceil(2));
     let lat: Vec<f64> = parts
@@ -184,25 +217,36 @@ fn steady(run: &Run, samples: &[Sample]) -> [f64; 4] {
         .flat_map(|p| p.latencies_ms.iter().copied())
         .collect();
     let n = lat.len() as f64;
-    [
-        ratio(n, parts.iter().map(|p| p.secs).sum()),
-        median(&lat),
-        percentile(&lat, 99.0).unwrap_or(0.0),
-        ratio(parts.iter().map(|p| p.cpu_ms).sum(), n),
-    ]
+    Steady {
+        qps: ratio(n, parts.iter().map(|p| p.secs).sum()),
+        p50_ms: median(&lat),
+        p99_ms: percentile(&lat, 99.0).unwrap_or(0.0),
+        user_ms_per_query: ratio(parts.iter().map(|p| p.user_ms).sum(), n),
+        sys_ms_per_query: ratio(parts.iter().map(|p| p.sys_ms).sum(), n),
+    }
 }
 
 /// End-to-end metrics of an untraced run, in [`END_TO_END`] order.
 fn end_to_end(run: &Run, samples: &[Sample]) -> Vec<f64> {
-    let [qps, p50, _, cpu] = steady(run, samples);
-    vec![qps, p50, cpu, run.setup_s, run.peak_rss_mb]
+    let s = steady(run, samples);
+    vec![
+        s.qps,
+        s.p50_ms,
+        s.user_ms_per_query,
+        run.setup_s,
+        run.peak_rss_mb,
+    ]
 }
 
 /// Share of the machine's CPU time the hypervisor took away during the
 /// timed phase, in percent (`/proc/stat` counts 100 ticks a second per CPU).
 fn steal_pct(run: &Run, samples: &[Sample]) -> f64 {
     let steal_at = |t| procfs::at(samples, t, |s| s.steal as f64);
-    let ticks = steal_at(run.end) - steal_at(run.start);
+    let ticks: f64 = run
+        .windows
+        .iter()
+        .map(|w| steal_at(w.end) - steal_at(w.start))
+        .sum();
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get()) as f64;
     ratio(ticks, wall_s(run) * 100.0 * cpus) * 100.0
 }
@@ -230,9 +274,10 @@ fn per_layer(run: &Run, samples: &[Sample]) -> Vec<f64> {
             "engine.drain_ms" => med_us("engine.drain") / 1e3,
             "engine.os_threads_peak" => samples.iter().map(|s| s.threads).max().unwrap_or(0) as f64,
             "client.self_us" => median(&request_self),
-            "trace.qps" => traced[0],
-            "trace.latency_p50_ms" => traced[1],
-            "trace.latency_p99_ms" => traced[2],
+            "process.sys_cpu_ms_per_query" => traced.sys_ms_per_query,
+            "trace.qps" => traced.qps,
+            "trace.latency_p50_ms" => traced.p50_ms,
+            "trace.latency_p99_ms" => traced.p99_ms,
             "host.steal_pct" => steal_pct(run, samples),
             _ => run
                 .counters
@@ -371,31 +416,87 @@ mod tests {
             .enumerate()
             .map(|(i, (&t, steal))| Sample {
                 at: at(t),
-                cpu_ms: 3.0 * i as f64,
+                user_ms: 3.0 * i as f64,
+                sys_ms: i as f64,
                 steal,
                 threads: 1,
             })
             .collect();
-        let run = Run {
+        let run = run_of(done, vec![window(t0, at(11.0), 5)]);
+        // The least-stolen three: both quiet sub-runs and the first stolen
+        // one (ties keep their order): 9 queries in 5 s, median 1 ms, p99
+        // 5 ms, 1 ms of user and 1/3 ms of system CPU each. All five would
+        // give 15 in 11 s and 5 ms.
+        assert_eq!(
+            steady(&run, &samples),
+            Steady {
+                qps: 1.8,
+                p50_ms: 1.0,
+                p99_ms: 5.0,
+                user_ms_per_query: 1.0,
+                sys_ms_per_query: 1.0 / 3.0,
+            }
+        );
+        assert_eq!(end_to_end(&run, &samples), vec![1.8, 1.0, 1.0, 0.5, 9.0]);
+        assert!((steal_pct(&run, &samples) - 900.0 / (11.0 * 100.0 * cpus()) * 100.0).abs() < 1e-9);
+    }
+
+    fn window(start: Instant, end: Instant, sub_runs: usize) -> workloads::Window {
+        workloads::Window {
+            start,
+            end,
+            sub_runs,
+        }
+    }
+
+    fn run_of(done: Vec<(Instant, f64)>, windows: Vec<workloads::Window>) -> Run {
+        Run {
             setup_s: 0.5,
-            start: t0,
-            end: at(11.0),
+            windows,
             peak_rss_mb: 9.0,
+            attempted: done.len() as u64,
             done,
-            attempted: 15,
             failed: 0,
             problems: Vec::new(),
             spans: Vec::new(),
             queries_per_submit: 1.0,
-            sub_runs: 5,
             counters: Vec::new(),
-        };
-        // The least-stolen three: both quiet sub-runs and the first stolen
-        // one (ties keep their order): 9 queries in 5 s, median 1 ms, p99
-        // 5 ms, 1 ms of CPU each. All five would give 15 in 11 s and 5 ms.
-        assert_eq!(steady(&run, &samples), [1.8, 1.0, 5.0, 1.0]);
-        assert_eq!(end_to_end(&run, &samples), vec![1.8, 1.0, 1.0, 0.5, 9.0]);
-        assert!((steal_pct(&run, &samples) - 900.0 / (11.0 * 100.0 * cpus()) * 100.0).abs() < 1e-9);
+        }
+    }
+
+    /// Two engine instances, each timed for 1 s with one sub-run; the 8 s
+    /// between them (the second instance's set-up) is not timed.
+    #[test]
+    fn time_between_windows_is_not_counted() {
+        let t0 = Instant::now();
+        let at = |s: f64| t0 + std::time::Duration::from_secs_f64(s);
+        let done = vec![
+            (at(0.5), 1.0),
+            (at(1.0), 1.0),
+            (at(9.5), 2.0),
+            (at(10.0), 2.0),
+        ];
+        let samples: Vec<Sample> = [(0.0, 0), (1.0, 100), (9.0, 100), (10.0, 100)]
+            .iter()
+            .map(|&(t, steal)| Sample {
+                at: at(t),
+                user_ms: t * 4.0,
+                sys_ms: 0.0,
+                steal,
+                threads: 1,
+            })
+            .collect();
+        let run = run_of(
+            done,
+            vec![window(t0, at(1.0), 1), window(at(9.0), at(10.0), 1)],
+        );
+        assert_eq!(wall_s(&run), 2.0);
+        let parts = stretches(&run, &samples);
+        assert_eq!(parts.len(), 2);
+        assert_eq!((parts[1].secs, parts[1].user_ms), (1.0, 4.0));
+        // The second window stole nothing, so it alone is the steady half.
+        assert_eq!(end_to_end(&run, &samples), vec![2.0, 2.0, 2.0, 0.5, 9.0]);
+        assert!((steal_pct(&run, &samples) - 100.0 / (2.0 * 100.0 * cpus()) * 100.0).abs() < 1e-9);
     }
 
     fn cpus() -> f64 {

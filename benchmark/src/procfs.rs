@@ -8,8 +8,8 @@ use std::time::{Duration, Instant};
 /// Clock ticks per second of `utime`/`stime` (`USER_HZ`, 100 on Linux).
 const USER_HZ: f64 = 100.0;
 
-/// User + system CPU time of the whole process, in milliseconds.
-pub fn cpu_ms() -> f64 {
+/// User and system CPU time of the whole process, in milliseconds.
+pub fn cpu_ms() -> (f64, f64) {
     let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
     // Fields after the parenthesised command name, which may hold spaces:
     // state is field 3, utime field 14 and stime field 15.
@@ -19,8 +19,8 @@ pub fn cpu_ms() -> f64 {
         .skip(1)
         .map(|x| x.parse().unwrap_or(0))
         .collect();
-    let ticks = f.get(10).copied().unwrap_or(0) + f.get(11).copied().unwrap_or(0);
-    ticks as f64 * 1e3 / USER_HZ
+    let ms = |i: usize| f.get(i).copied().unwrap_or(0) as f64 * 1e3 / USER_HZ;
+    (ms(10), ms(11))
 }
 
 /// A numeric field of `/proc/self/status` (e.g. `VmHWM` in kB, `Threads`).
@@ -53,8 +53,10 @@ pub fn steal_ticks() -> u64 {
 pub struct Sample {
     /// When it was taken.
     pub at: Instant,
-    /// [`cpu_ms`] at that time.
-    pub cpu_ms: f64,
+    /// User CPU time of [`cpu_ms`] at that time.
+    pub user_ms: f64,
+    /// System CPU time of [`cpu_ms`] at that time.
+    pub sys_ms: f64,
     /// [`steal_ticks`] at that time.
     pub steal: u64,
     /// OS threads of the process.
@@ -65,9 +67,11 @@ pub struct Sample {
 pub const SAMPLE_EVERY: Duration = Duration::from_millis(25);
 
 fn sample() -> Sample {
+    let (user_ms, sys_ms) = cpu_ms();
     Sample {
         at: Instant::now(),
-        cpu_ms: cpu_ms(),
+        user_ms,
+        sys_ms,
         steal: steal_ticks(),
         threads: status_field("Threads"),
     }
@@ -140,26 +144,28 @@ mod tests {
             samples.iter().all(|s| s.threads >= 2),
             "the sampler is a thread"
         );
-        assert!(cpu_ms() > 0.0);
+        assert!(cpu_ms().0 > 0.0);
 
         let (t0, t1) = (samples[0].at, samples[1].at);
         let hand = [
             Sample {
                 at: t0,
-                cpu_ms: 10.0,
+                user_ms: 10.0,
+                sys_ms: 0.0,
                 steal: 0,
                 threads: 1,
             },
             Sample {
                 at: t1,
-                cpu_ms: 30.0,
+                user_ms: 30.0,
+                sys_ms: 0.0,
                 steal: 0,
                 threads: 1,
             },
         ];
         let mid = t0 + (t1 - t0) / 2;
-        assert!((at(&hand, mid, |s| s.cpu_ms) - 20.0).abs() < 1e-6);
-        assert_eq!(at(&hand, t0, |s| s.cpu_ms), 10.0);
-        assert_eq!(at(&hand, t1 + Duration::from_secs(1), |s| s.cpu_ms), 30.0);
+        assert!((at(&hand, mid, |s| s.user_ms) - 20.0).abs() < 1e-6);
+        assert_eq!(at(&hand, t0, |s| s.user_ms), 10.0);
+        assert_eq!(at(&hand, t1 + Duration::from_secs(1), |s| s.user_ms), 30.0);
     }
 }

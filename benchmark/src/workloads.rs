@@ -1,6 +1,8 @@
-//! The three workloads. Each builds its database from the seed, warms it
-//! up, resets every counter, runs a fixed number of closed-loop rounds,
-//! and then checks the answers outside the timed phase.
+//! The three workloads. Each generates its data and statements from the
+//! seed; then, for each engine instance of the run, builds the database,
+//! warms it up, resets every counter and runs its share of a fixed number
+//! of closed-loop rounds; and then checks the answers outside the timed
+//! phase.
 
 use crate::check::{self, AnswerLog, Row};
 use crate::procfs;
@@ -30,12 +32,10 @@ pub struct Opts {
 
 /// What one run measured.
 pub struct Run {
-    /// Process start to the end of the warm-up, seconds.
+    /// Process start to the end of the (first) warm-up, seconds.
     pub setup_s: f64,
-    /// Start of the timed phase.
-    pub start: Instant,
-    /// End of the timed phase.
-    pub end: Instant,
+    /// The timed phase: one window per engine instance, in time order.
+    pub windows: Vec<Window>,
     /// `VmHWM` right after the timed phase, MiB.
     pub peak_rss_mb: f64,
     /// Completion time and latency (ms) of every completed query.
@@ -50,19 +50,26 @@ pub struct Run {
     pub spans: Vec<Span>,
     /// Queries covered by one `core.submit` span.
     pub queries_per_submit: f64,
-    /// Sub-runs the timed phase's completions are split into.
-    pub sub_runs: usize,
     /// Counters read from the layers' public snapshots, by metric name.
     pub counters: Vec<(&'static str, f64)>,
+}
+
+/// The part of the timed phase one engine instance served.
+pub struct Window {
+    pub start: Instant,
+    pub end: Instant,
+    /// Sub-runs its completions are split into.
+    pub sub_runs: usize,
 }
 
 // ---------------------------------------------------------------------
 // Workload shapes. The timed phase is a fixed number of sub-runs, one per
 // `SUB_RUN_SECONDS` of `--seconds`; a sub-run is a fixed number of rounds
-// holding at least 1000 queries, which lasts 1-4 s on a 2-core host. The
-// warm-up before it is one more sub-run's worth of rounds: it grows the
-// engine's stage worker pools (which only grow) to near their size under
-// the workload, so the timed phase does not drift as they grow.
+// holding at least 1000 queries, which lasts 1-5 s on a 2-core host. The
+// warm-up before each engine instance's share is one more sub-run's worth
+// of rounds: it grows the engine's stage worker pools (which only grow) to
+// near their size under the workload, so the timed phase does not drift
+// as they grow.
 // ---------------------------------------------------------------------
 
 /// Nominal length of one sub-run.
@@ -95,6 +102,22 @@ const WIRE_ROUNDS_PER_SUB_RUN: usize = 39;
 /// Sub-runs of a run of `--seconds`.
 fn sub_runs(opts: &Opts) -> usize {
     opts.seconds.div_ceil(SUB_RUN_SECONDS) as usize
+}
+
+/// Fresh engine instances an untraced run spreads its timed sub-runs over
+/// (a traced run uses one, so its counters cover the whole timed phase).
+/// The system CPU time per query of an engine instance is drawn anew with
+/// each instance (1 to 5 ms on `star-batch-disk`, see the README) and
+/// holds for its life, so a run over three instances averages three draws
+/// instead of reporting one.
+const INSTANCES: usize = 3;
+
+/// Timed sub-runs of each engine instance of a run: an even share, the
+/// larger shares first.
+fn instance_shares(opts: &Opts) -> Vec<usize> {
+    let total = sub_runs(opts);
+    let k = if opts.trace { 1 } else { INSTANCES.min(total) };
+    (0..k).map(|i| (total + k - 1 - i) / k).collect()
 }
 
 fn ssb_catalog(scale: f64, seed: u64, page_bytes: usize) -> Arc<Catalog> {
@@ -353,17 +376,19 @@ fn layer_counters(db: &SharingDb, completed: u64) -> Vec<(&'static str, f64)> {
 /// Q2.1/Q3.2/Q4.1 statements and drains each batch before the next.
 pub fn star_batch_disk(opts: &Opts, started: Instant) -> Result<Run, String> {
     let catalog = ssb_catalog(STAR_SCALE, opts.seed, qs_storage::DEFAULT_PAGE_BYTES);
-    let db = SharingDb::new(
-        catalog.clone(),
-        DbConfig {
-            disk: DiskConfig::disk_resident(),
-            // As the scenario harness does: the pool holds a quarter of
-            // the data, so the fact scan keeps reading from disk.
-            buffer_pool_pages: Some((catalog.total_pages() / 4).max(8)),
-            ..DbConfig::new(ExecutionMode::GqpSp)
-        },
-    )
-    .map_err(|e| e.to_string())?;
+    let new_db = || {
+        SharingDb::new(
+            catalog.clone(),
+            DbConfig {
+                disk: DiskConfig::disk_resident(),
+                // As the scenario harness does: the pool holds a quarter of
+                // the data, so the fact scan keeps reading from disk.
+                buffer_pool_pages: Some((catalog.total_pages() / 4).max(8)),
+                ..DbConfig::new(ExecutionMode::GqpSp)
+            },
+        )
+        .map_err(|e| e.to_string())
+    };
 
     let mut g = SplitMix::new(opts.seed, 1);
     let mut stmts = Statements::default();
@@ -390,63 +415,81 @@ pub fn star_batch_disk(opts: &Opts, started: Instant) -> Result<Run, String> {
         .map(|_| draw(&mut g))
         .collect();
 
+    // Each engine instance gets the same warm-up and its share of the
+    // timed batches.
     let epoch = Instant::now();
-    let mut scratch = Client::new(opts, epoch, 0, stmts.len());
-    for b in &warmup {
-        run_star_batch(&db, &catalog, &stmts, b, &mut scratch);
-    }
-    if scratch.failed > 0 {
-        return Err(format!("{} warm-up queries failed", scratch.failed));
-    }
-    db.reset_metrics();
-    let setup_s = started.elapsed().as_secs_f64();
-
     let mut client = Client::new(opts, epoch, 1, stmts.len());
-    let start = Instant::now();
-    for b in &batches {
-        run_star_batch(&db, &catalog, &stmts, b, &mut client);
-    }
-    let (end, peak_rss_mb) = (Instant::now(), procfs::peak_rss_mb());
-
-    let attempted = (batches.len() * STAR_BATCH) as u64;
-    let completed = attempted - client.failed;
-    let counters = layer_counters(&db, completed);
-    let count = |name| {
-        counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |(_, v)| *v as u64)
-    };
+    let mut setup_s = 0.0;
+    let mut windows = Vec::new();
+    let mut counters = Vec::new();
     let mut problems = Vec::new();
-    let distinct: u64 = batches
-        .iter()
-        .map(|b| b.iter().collect::<HashSet<_>>().len() as u64)
-        .sum();
-    if client.failed == 0 {
-        if let Err(e) = check::cjoin_conservation(
-            count("cjoin.admissions"),
-            count("cjoin.sp_hits"),
-            attempted,
-            distinct,
-        ) {
-            problems.push(e);
+    let mut rest = &batches[..];
+    for (i, share) in instance_shares(opts).into_iter().enumerate() {
+        let (chunk, tail) = rest.split_at(share * STAR_BATCHES_PER_SUB_RUN);
+        rest = tail;
+
+        let db = new_db()?;
+        let mut scratch = Client::new(opts, epoch, 0, stmts.len());
+        for b in &warmup {
+            run_star_batch(&db, &catalog, &stmts, b, &mut scratch);
+        }
+        if scratch.failed > 0 {
+            return Err(format!("{} warm-up queries failed", scratch.failed));
+        }
+        db.reset_metrics();
+        if i == 0 {
+            setup_s = started.elapsed().as_secs_f64();
+        }
+
+        let failed_before = client.failed;
+        let start = Instant::now();
+        for b in chunk {
+            run_star_batch(&db, &catalog, &stmts, b, &mut client);
+        }
+        windows.push(Window {
+            start,
+            end: Instant::now(),
+            sub_runs: share,
+        });
+
+        let attempted = (chunk.len() * STAR_BATCH) as u64;
+        let failed = client.failed - failed_before;
+        counters = layer_counters(&db, attempted - failed);
+        let count = |name| {
+            counters
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map_or(0, |(_, v)| *v as u64)
+        };
+        let distinct: u64 = chunk
+            .iter()
+            .map(|b| b.iter().collect::<HashSet<_>>().len() as u64)
+            .sum();
+        if failed == 0 {
+            if let Err(e) = check::cjoin_conservation(
+                count("cjoin.admissions"),
+                count("cjoin.sp_hits"),
+                attempted,
+                distinct,
+            ) {
+                problems.push(e);
+            }
         }
     }
+    let peak_rss_mb = procfs::peak_rss_mb();
     stmts.check_in_process(&catalog, &client.log, &mut problems);
     client.log.check_repeats(&mut problems);
 
     Ok(Run {
         setup_s,
-        start,
-        end,
+        windows,
         peak_rss_mb,
         done: client.done,
-        attempted,
+        attempted: (batches.len() * STAR_BATCH) as u64,
         failed: client.failed,
         problems,
         spans: client.rec.into_spans(),
         queries_per_submit: STAR_BATCH as f64,
-        sub_runs: sub_runs(opts),
         counters,
     })
 }
@@ -510,8 +553,6 @@ fn run_star_batch(
 /// selective Q1.1 in flight, parameters from a wide space.
 pub fn selective_spl_memory(opts: &Opts, started: Instant) -> Result<Run, String> {
     let catalog = ssb_catalog(SPL_SCALE, opts.seed, qs_storage::DEFAULT_PAGE_BYTES);
-    let db = SharingDb::new(catalog.clone(), DbConfig::new(ExecutionMode::SpPull))
-        .map_err(|e| e.to_string())?;
 
     let per_client = sub_runs(opts) * SPL_QUERIES_PER_SUB_RUN;
     let mut stmts = Statements::default();
@@ -530,39 +571,63 @@ pub fn selective_spl_memory(opts: &Opts, started: Instant) -> Result<Run, String
         streams.push(stream);
     }
 
+    // Each engine instance gets the same warm-up and its share of every
+    // client's timed stream.
     let epoch = Instant::now();
-    let (warm, timed): (Vec<&[usize]>, Vec<&[usize]>) = streams
+    let (warm, mut rest): (Vec<&[usize]>, Vec<&[usize]>) = streams
         .iter()
         .map(|s| s.split_at(SPL_QUERIES_PER_SUB_RUN))
         .unzip();
-    let warm_failed: u64 = run_clients(opts, epoch, &db, &catalog, &stmts, &warm)
-        .iter()
-        .map(|c| c.failed)
-        .sum();
-    if warm_failed > 0 {
-        return Err(format!("{warm_failed} warm-up queries failed"));
-    }
-    db.reset_metrics();
-    let setup_s = started.elapsed().as_secs_f64();
+    let mut setup_s = 0.0;
+    let mut windows = Vec::new();
+    let mut clients = Vec::new();
+    let mut counters = Vec::new();
+    for (i, share) in instance_shares(opts).into_iter().enumerate() {
+        let (timed, tail): (Vec<&[usize]>, Vec<&[usize]>) = rest
+            .iter()
+            .map(|s| s.split_at(share * SPL_QUERIES_PER_SUB_RUN))
+            .unzip();
+        rest = tail;
 
-    let start = Instant::now();
-    let clients = run_clients(opts, epoch, &db, &catalog, &stmts, &timed);
-    let (end, peak_rss_mb) = (Instant::now(), procfs::peak_rss_mb());
+        let db = SharingDb::new(catalog.clone(), DbConfig::new(ExecutionMode::SpPull))
+            .map_err(|e| e.to_string())?;
+        let warm_failed: u64 = run_clients(opts, epoch, &db, &catalog, &stmts, &warm)
+            .iter()
+            .map(|c| c.failed)
+            .sum();
+        if warm_failed > 0 {
+            return Err(format!("{warm_failed} warm-up queries failed"));
+        }
+        db.reset_metrics();
+        if i == 0 {
+            setup_s = started.elapsed().as_secs_f64();
+        }
+
+        let start = Instant::now();
+        let timed_clients = run_clients(opts, epoch, &db, &catalog, &stmts, &timed);
+        windows.push(Window {
+            start,
+            end: Instant::now(),
+            sub_runs: share,
+        });
+        let attempted = (SPL_CLIENTS * share * SPL_QUERIES_PER_SUB_RUN) as u64;
+        let failed: u64 = timed_clients.iter().map(|c| c.failed).sum();
+        counters = layer_counters(&db, attempted - failed);
+        clients.extend(timed_clients);
+    }
+    let peak_rss_mb = procfs::peak_rss_mb();
 
     let attempted = (SPL_CLIENTS * per_client) as u64;
-    let mut run = merge_clients(clients, stmts.len(), |log, problems| {
+    let run = merge_clients(clients, stmts.len(), |log, problems| {
         stmts.check_in_process(&catalog, log, problems);
     });
-    let completed = attempted - run.failed;
-    run.counters = layer_counters(&db, completed);
     Ok(Run {
         setup_s,
-        start,
-        end,
+        windows,
         peak_rss_mb,
         attempted,
         queries_per_submit: 1.0,
-        sub_runs: sub_runs(opts),
+        counters,
         ..run
     })
 }
@@ -635,11 +700,9 @@ fn merge_clients<R: check::Answer>(
     oracle: impl FnOnce(&AnswerLog<R>, &mut Vec<String>),
 ) -> Run {
     let mut log = AnswerLog::new(statements);
-    let now = Instant::now();
     let mut run = Run {
         setup_s: 0.0,
-        start: now,
-        end: now,
+        windows: Vec::new(),
         peak_rss_mb: 0.0,
         done: Vec::new(),
         attempted: 0,
@@ -647,7 +710,6 @@ fn merge_clients<R: check::Answer>(
         problems: Vec::new(),
         spans: Vec::new(),
         queries_per_submit: 1.0,
-        sub_runs: 1,
         counters: Vec::new(),
     };
     for c in clients {
@@ -718,21 +780,6 @@ impl Conn {
 /// statement in flight over all 13 SSB templates.
 pub fn sql_wire_auto(opts: &Opts, started: Instant) -> Result<Run, String> {
     let catalog = ssb_catalog(WIRE_SCALE, opts.seed, WIRE_PAGE_BYTES);
-    let db = Arc::new(
-        SharingDb::new(
-            catalog.clone(),
-            DbConfig {
-                admission: Some(AdmissionConfig {
-                    max_concurrent: 64,
-                    max_queued: 128,
-                    queue_timeout: Duration::from_millis(500),
-                }),
-                ..DbConfig::new(ExecutionMode::Auto)
-            },
-        )
-        .map_err(|e| e.to_string())?,
-    );
-    let server = qs_server::serve(db.clone(), "127.0.0.1:0").map_err(|e| format!("serve: {e}"))?;
 
     let mut g = SplitMix::new(opts.seed, 200);
     let mut stmts = Statements::default();
@@ -760,80 +807,119 @@ pub fn sql_wire_auto(opts: &Opts, started: Instant) -> Result<Run, String> {
                 .collect()
         })
         .collect();
-    let mut conns = (0..WIRE_CLIENTS)
-        .map(|_| Conn::connect(server.addr()))
-        .collect::<Result<Vec<_>, _>>()?;
 
+    // Each engine instance, with its own server and connections, gets the
+    // same warm-up and its share of every connection's timed stream.
     let epoch = Instant::now();
     let per_round = space.len();
-    let split = WIRE_ROUNDS_PER_SUB_RUN * per_round;
-    let warm: Vec<&[usize]> = streams.iter().map(|s| &s[..split]).collect();
-    let timed: Vec<&[usize]> = streams.iter().map(|s| &s[split..]).collect();
-    let warm_clients = run_wire_clients(opts, epoch, &catalog, &stmts, &mut conns, &warm);
-    let warm_failed: u64 = warm_clients.iter().map(|c| c.failed).sum();
-    if warm_failed > 0 {
-        return Err(format!("{warm_failed} warm-up requests failed"));
-    }
-    conns.iter_mut().for_each(Conn::reset);
-    db.reset_metrics();
-    // A connection serves its requests in order and counts each one
-    // after its `END` frame is written; a ping answered on every
-    // connection means the counts are settled.
-    sync(&mut conns)?;
-    let before = server.stats();
-    let setup_s = started.elapsed().as_secs_f64();
+    let sub_run_len = WIRE_ROUNDS_PER_SUB_RUN * per_round;
+    let (warm, mut rest): (Vec<&[usize]>, Vec<&[usize]>) =
+        streams.iter().map(|s| s.split_at(sub_run_len)).unzip();
+    let mut setup_s = 0.0;
+    let mut windows = Vec::new();
+    let mut clients = Vec::new();
+    let mut counters = Vec::new();
+    let mut problems = Vec::new();
+    for (i, share) in instance_shares(opts).into_iter().enumerate() {
+        let (timed, tail): (Vec<&[usize]>, Vec<&[usize]>) =
+            rest.iter().map(|s| s.split_at(share * sub_run_len)).unzip();
+        rest = tail;
 
-    let start = Instant::now();
-    let clients = run_wire_clients(opts, epoch, &catalog, &stmts, &mut conns, &timed);
-    let (end, peak_rss_mb) = (Instant::now(), procfs::peak_rss_mb());
-    sync(&mut conns)?;
-    let after = server.stats();
+        let db = Arc::new(
+            SharingDb::new(
+                catalog.clone(),
+                DbConfig {
+                    admission: Some(AdmissionConfig {
+                        max_concurrent: 64,
+                        max_queued: 128,
+                        queue_timeout: Duration::from_millis(500),
+                    }),
+                    ..DbConfig::new(ExecutionMode::Auto)
+                },
+            )
+            .map_err(|e| e.to_string())?,
+        );
+        let server =
+            qs_server::serve(db.clone(), "127.0.0.1:0").map_err(|e| format!("serve: {e}"))?;
+        let mut conns = (0..WIRE_CLIENTS)
+            .map(|_| Conn::connect(server.addr()))
+            .collect::<Result<Vec<_>, _>>()?;
+        let warm_clients = run_wire_clients(opts, epoch, &catalog, &stmts, &mut conns, &warm);
+        let warm_failed: u64 = warm_clients.iter().map(|c| c.failed).sum();
+        if warm_failed > 0 {
+            return Err(format!("{warm_failed} warm-up requests failed"));
+        }
+        conns.iter_mut().for_each(Conn::reset);
+        db.reset_metrics();
+        // A connection serves its requests in order and counts each one
+        // after its `END` frame is written; a ping answered on every
+        // connection means the counts are settled.
+        sync(&mut conns)?;
+        let before = server.stats();
+        if i == 0 {
+            setup_s = started.elapsed().as_secs_f64();
+        }
+
+        let start = Instant::now();
+        let timed_clients = run_wire_clients(opts, epoch, &catalog, &stmts, &mut conns, &timed);
+        windows.push(Window {
+            start,
+            end: Instant::now(),
+            sub_runs: share,
+        });
+        sync(&mut conns)?;
+        let after = server.stats();
+
+        let ends: u64 = conns.iter().map(|c| c.ends).sum();
+        let served = after.completed - before.completed;
+        if served != ends {
+            problems.push(format!(
+                "server completed {served} requests, the clients counted {ends} END frames"
+            ));
+        }
+        let gather = |f: fn(&Conn) -> &Vec<f64>| -> Vec<f64> {
+            conns.iter().flat_map(|c| f(c).iter().copied()).collect()
+        };
+        let attempted = (WIRE_CLIENTS * share * sub_run_len) as u64;
+        let failed: u64 = timed_clients.iter().map(|c| c.failed).sum();
+        counters = layer_counters(&db, attempted - failed);
+        counters.extend([
+            (
+                "server.exec_ms",
+                crate::stats::median(&gather(|c| &c.exec_ms)),
+            ),
+            (
+                "server.overhead_ms",
+                crate::stats::median(&gather(|c| &c.overhead_ms)),
+            ),
+            (
+                "server.rows_framed",
+                conns.iter().map(|c| c.rows_framed).sum::<u64>() as f64,
+            ),
+        ]);
+        clients.extend(timed_clients);
+
+        for c in &mut conns {
+            let _ = c.writer.write_all(b".quit\n");
+            let _ = c.frame();
+        }
+        drop(conns);
+        server.shutdown();
+    }
+    let peak_rss_mb = procfs::peak_rss_mb();
 
     let attempted = (WIRE_CLIENTS * per_client * per_round) as u64;
     let mut run = merge_clients(clients, stmts.len(), |log, problems| {
         stmts.check_wire(&catalog, log, problems);
     });
-    let ends: u64 = conns.iter().map(|c| c.ends).sum();
-    let served = after.completed - before.completed;
-    if served != ends {
-        run.problems.push(format!(
-            "server completed {served} requests, the clients counted {ends} END frames"
-        ));
-    }
-    let gather = |f: fn(&Conn) -> &Vec<f64>| -> Vec<f64> {
-        conns.iter().flat_map(|c| f(c).iter().copied()).collect()
-    };
-    let completed = attempted - run.failed;
-    run.counters = layer_counters(&db, completed);
-    run.counters.extend([
-        (
-            "server.exec_ms",
-            crate::stats::median(&gather(|c| &c.exec_ms)),
-        ),
-        (
-            "server.overhead_ms",
-            crate::stats::median(&gather(|c| &c.overhead_ms)),
-        ),
-        (
-            "server.rows_framed",
-            conns.iter().map(|c| c.rows_framed).sum::<u64>() as f64,
-        ),
-    ]);
-
-    for c in &mut conns {
-        let _ = c.writer.write_all(b".quit\n");
-        let _ = c.frame();
-    }
-    drop(conns);
-    server.shutdown();
+    run.problems.extend(problems);
     Ok(Run {
         setup_s,
-        start,
-        end,
+        windows,
         peak_rss_mb,
         attempted,
         queries_per_submit: 1.0,
-        sub_runs: sub_runs(opts),
+        counters,
         ..run
     })
 }
