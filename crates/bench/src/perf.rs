@@ -24,6 +24,9 @@ pub struct PerfPoint {
     pub qps: f64,
     /// Queries completed in the window.
     pub completed: u64,
+    /// Queries that failed in the window (closed-loop series only; `0`
+    /// elsewhere and in files written before the field existed).
+    pub failed: u64,
     /// CJOIN dimension-entry predicate evaluations at admission.
     pub admission_evals: u64,
     /// Pages shared via SPLs.
@@ -46,8 +49,8 @@ pub struct PerfPoint {
 impl PerfPoint {
     fn to_json(&self) -> String {
         let mut s = format!(
-            "{{\"mode\":\"{}\",\"x\":{},\"qps\":{:.3},\"completed\":{},\"admission_evals\":{},\"pages_shared\":{},\"sp_hits\":{}",
-            self.mode, self.x, self.qps, self.completed, self.admission_evals,
+            "{{\"mode\":\"{}\",\"x\":{},\"qps\":{:.3},\"completed\":{},\"failed\":{},\"admission_evals\":{},\"pages_shared\":{},\"sp_hits\":{}",
+            self.mode, self.x, self.qps, self.completed, self.failed, self.admission_evals,
             self.pages_shared, self.sp_hits
         );
         // Latency/shed fields are written only when measured, keeping
@@ -71,6 +74,7 @@ pub fn throughput_points(rows: &[qs_core::scenarios::ThroughputRow]) -> Vec<Perf
             x: r.x,
             qps: r.qps,
             completed: r.completed,
+            failed: r.failed,
             admission_evals: r.admission_evals,
             pages_shared: r.pages_shared,
             sp_hits: r.sp_hits,
@@ -169,6 +173,7 @@ fn parse_point(obj: &str) -> Option<PerfPoint> {
         x: field("x")?.parse().ok()?,
         qps: field("qps")?.parse().ok()?,
         completed: field("completed")?.parse().ok()?,
+        failed: field("failed").and_then(|s| s.parse().ok()).unwrap_or(0),
         admission_evals: field("admission_evals")?.parse().ok()?,
         pages_shared: field("pages_shared")?.parse().ok()?,
         sp_hits: field("sp_hits")?.parse().ok()?,

@@ -935,6 +935,13 @@ fn preprocessor_loop(
     let mut active: Vec<ActiveQuery> = Vec::new();
     let mut pos = 0usize;
     let pages = fact.page_count();
+    // Read-ahead: while queries are active, the next `window` pages after
+    // `pos` are kept loading on the disk's spindles (one new page issued
+    // per page consumed), so the scan's own `get` rarely waits on the
+    // disk. Zero on a memory-resident pool. `ahead` counts the pages
+    // after `pos` already issued.
+    let window = ctx.pool.read_ahead_window().min(pages.saturating_sub(1));
+    let mut ahead = 0usize;
     let mut inline_scratch = ChunkScratch::default();
     // Per-chunk scratch and result slots for the pooled parallel path,
     // reused across pages: surviving rows, their bitmaps, eval counts.
@@ -1011,29 +1018,39 @@ fn preprocessor_loop(
         }
 
         if active.is_empty() {
+            // Idle: the scan stops here, and so does its read-ahead.
+            ahead = 0;
             continue;
+        }
+        while ahead < window {
+            ahead += 1;
+            ctx.pool.read_ahead(&fact, (pos + ahead) % pages);
         }
 
         // One page of the circular fact scan. A failed read poisons every
         // query whose revolution spans this page — i.e. all currently
         // active ones — but not the pipeline: their outputs are aborted
         // with the typed cause and the scan moves on for future admits.
-        let page = match ctx.pool.get(&fact, pos) {
+        // (A failed read-ahead of this page is not such a failure: it
+        // left no entry, and this `get` read the page itself.)
+        let read = ctx.pool.get(&fact, pos);
+        let page_no = pos;
+        pos = (pos + 1) % pages;
+        ahead = ahead.saturating_sub(1);
+        let page = match read {
             Ok(p) => p,
             Err(e) => {
-                let msg = format!("fact page {pos} unreadable: {e}");
+                let msg = format!("fact page {page_no} unreadable: {e}");
                 for q in active.drain(..) {
                     if out.send(Msg::QueryAborted(q.slot, msg.clone())).is_err() {
                         break 'outer;
                     }
                 }
                 snapshot = None;
-                pos = (pos + 1) % pages;
                 continue;
             }
         };
-        fact.advance_clock(pos);
-        pos = (pos + 1) % pages;
+        fact.advance_clock(page_no);
         metrics.fact_pages.fetch_add(1, Ordering::Relaxed);
 
         // Evaluate every active query's fact predicate on every row —
@@ -1153,7 +1170,7 @@ fn preprocessor_loop(
             // A chunk evaluated by no surviving reply: any batch built
             // from the remaining chunks would silently drop rows for
             // *every* active query. Abort them all; the pipeline lives.
-            let msg = format!("fact page {} evaluation panicked", (pos + pages - 1) % pages);
+            let msg = format!("fact page {page_no} evaluation panicked");
             for q in active.drain(..) {
                 if out.send(Msg::QueryAborted(q.slot, msg.clone())).is_err() {
                     break 'outer;

@@ -192,6 +192,50 @@ fn online_admission_while_another_runs() {
 }
 
 #[test]
+fn read_ahead_on_a_disk_resident_pool_reads_each_scanned_page_once() {
+    let cat = catalog();
+    let fact_pages = cat.get("fact").unwrap().page_count();
+    assert_eq!(fact_pages, 40);
+    // A pool of a quarter of the fact table over a seven-spindle disk:
+    // the scan misses on every page and reads ahead min(7, 10 / 4) pages.
+    let metrics = Metrics::new();
+    let ctx = Arc::new(ExecCtx {
+        pool: Arc::new(BufferPool::new(
+            BufferPoolConfig::with_capacity(fact_pages / 4),
+            Arc::new(DiskModel::new(DiskConfig::disk_resident())),
+        )),
+        governor: CoreGovernor::new(0, metrics.clone()),
+        workers: qs_engine::WorkerPool::new(1, metrics.clone()),
+        metrics,
+        out_page_bytes: 256,
+    });
+    let pool = ctx.pool.clone();
+    let window = pool.read_ahead_window();
+    assert_eq!(window, 2);
+    let pipe = CjoinPipeline::new(ctx, &cat, &spec()).unwrap();
+    // Building the pipeline loaded the dimensions; count fact reads only.
+    pool.disk().reset_stats();
+    let plans = [
+        star_plan(&cat, None, Some(None)),
+        star_plan(&cat, Some(Expr::eq(1, 1i64)), Some(None)),
+    ];
+    for plan in &plans {
+        let q = pipe.admit(&StarQuery::detect(plan, &cat).unwrap()).unwrap();
+        assert_rows_match(drain(q.reader), eval(plan, &cat).unwrap(), 0.0);
+        // Every page the scan consumed was read once; the only surplus is
+        // the window still loading ahead where the scan stopped, which
+        // the next revolution consumes from the pool.
+        let (reads, scanned) = (pool.disk().stats().reads, pipe.stats().fact_pages);
+        assert!(
+            (scanned..=scanned + window as u64).contains(&reads),
+            "{reads} disk reads for {scanned} scanned fact pages"
+        );
+    }
+    assert_eq!(pipe.stats().fact_pages, 2 * fact_pages as u64);
+    assert_eq!(pool.reader_threads(), window);
+}
+
+#[test]
 fn saturation_and_slot_reuse() {
     let cat = catalog();
     let pipe = CjoinPipeline::new(ctx(), &cat, &spec()).unwrap();

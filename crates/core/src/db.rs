@@ -728,6 +728,8 @@ mod tests {
 
     #[test]
     fn gqp_star_path_respects_the_admission_gate() {
+        // Runs a CJOIN pipeline: serialize on the fault registry.
+        let _guard = qs_storage::fault::test_guard();
         use qs_workload::ssb::queries::TemplateParams;
         use qs_workload::SsbTemplate;
         use std::time::Duration;
@@ -766,6 +768,61 @@ mod tests {
         drop(held);
         let t = db.submit(&plan).unwrap();
         assert!(t.drain().is_ok());
+    }
+
+    #[test]
+    fn two_clients_keep_stage_pools_at_their_concurrency() {
+        use qs_engine::ALL_STAGES;
+        use qs_workload::ssb::queries::TemplateParams;
+        use qs_workload::SsbTemplate;
+
+        let cat = Catalog::new();
+        generate_ssb(
+            &cat,
+            &SsbConfig {
+                scale: 0.0005,
+                seed: 4,
+                page_bytes: 8192,
+                ..Default::default()
+            },
+        );
+        let db = SharingDb::new(cat, DbConfig::new(ExecutionMode::SpPull)).unwrap();
+        let plan = |v: u64| {
+            let params = TemplateParams {
+                selectivity: Some(0.01),
+                ..TemplateParams::variant(v)
+            };
+            SsbTemplate::Q1_1.plan(db.catalog(), &params).unwrap()
+        };
+        // One query alone: how many packets it puts on each stage.
+        db.submit(&plan(0)).unwrap().drain().unwrap();
+        let per_query = db.metrics().packets;
+        // Two clients, 50 selective Q1.1 queries each, every one drained
+        // before the client's next submission.
+        std::thread::scope(|s| {
+            for c in 0..2u64 {
+                let plan = &plan;
+                let db = &db;
+                s.spawn(move || {
+                    for i in 1..=50 {
+                        db.submit(&plan(c * 1000 + i)).unwrap().drain().unwrap();
+                    }
+                });
+            }
+        });
+        // A stage spawns only when it runs more packets at once than it
+        // has workers, so two clients need at most twice one query's
+        // packets there (and the one worker every stage starts with). An
+        // uncounted spare would instead add about one worker per round.
+        for (k, &kind) in ALL_STAGES.iter().enumerate() {
+            let workers = db.engine.stage(kind).worker_count();
+            let bound = (2 * per_query[k] as usize).max(1);
+            assert!(
+                workers <= bound,
+                "{} stage: {workers} workers after 100 two-client queries, at most {bound} packets at once",
+                kind.name()
+            );
+        }
     }
 
     #[test]
@@ -850,6 +907,8 @@ mod tests {
 
     #[test]
     fn auto_mode_routes_and_records_the_decision() {
+        // Runs a CJOIN pipeline: serialize on the fault registry.
+        let _guard = qs_storage::fault::test_guard();
         let cat = tiny_ssb();
         let db = SharingDb::new(cat.clone(), DbConfig::new(ExecutionMode::Auto)).unwrap();
         let qc = SharingDb::new(cat, DbConfig::new(ExecutionMode::QueryCentric)).unwrap();
@@ -908,6 +967,8 @@ mod tests {
     /// nobody until the revolution completes.
     #[test]
     fn gqpsp_admission_follows_the_surviving_subscribers() {
+        // Runs a CJOIN pipeline: serialize on the fault registry.
+        let _guard = qs_storage::fault::test_guard();
         let cat = tiny_ssb();
         let db = SharingDb::new(cat.clone(), DbConfig::new(ExecutionMode::GqpSp)).unwrap();
         let qc = SharingDb::new(cat, DbConfig::new(ExecutionMode::QueryCentric)).unwrap();

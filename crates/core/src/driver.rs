@@ -29,6 +29,9 @@ pub struct DriverConfig {
 pub struct ThroughputResult {
     /// Queries completed inside the window.
     pub completed: u64,
+    /// Queries that failed inside the window: refused at submission
+    /// (e.g. shed, or CJOIN saturated) or aborted while draining.
+    pub failed: u64,
     /// Window actually elapsed.
     pub elapsed: Duration,
     /// Queries per second.
@@ -37,9 +40,16 @@ pub struct ThroughputResult {
 
 /// Run `cfg.clients` clients against `db` for the configured window and
 /// report throughput. Each client runs its own seeded [`QueryMix`], so
-/// runs are reproducible.
+/// runs are reproducible. A failed query is counted in
+/// [`ThroughputResult::failed`], never in `completed` or `qps`.
 pub fn run_throughput(db: &SharingDb, cfg: &DriverConfig) -> Result<ThroughputResult, EngineError> {
     let completed = AtomicU64::new(0);
+    let failed = AtomicU64::new(0);
+    // Count one drained ticket as completed or failed.
+    let tally = |ok: bool| {
+        let counter = if ok { &completed } else { &failed };
+        counter.fetch_add(1, Ordering::Relaxed);
+    };
     let stop = AtomicBool::new(false);
     let start = Instant::now();
     let deadline = start + cfg.duration;
@@ -60,24 +70,28 @@ pub fn run_throughput(db: &SharingDb, cfg: &DriverConfig) -> Result<ThroughputRe
                 .map(|m| m.next_plan(db.catalog()))
                 .collect::<qs_plan::Result<_>>()
                 .map_err(EngineError::Plan)?;
-            let tickets = db.submit_batch(&plans)?;
+            let tickets = match db.submit_batch(&plans) {
+                Ok(tickets) => tickets,
+                Err(_) => {
+                    // The whole wave was refused: count it, back off.
+                    failed.fetch_add(plans.len() as u64, Ordering::Relaxed);
+                    std::thread::sleep(Duration::from_millis(1));
+                    continue;
+                }
+            };
             std::thread::scope(|s| {
                 for t in tickets {
-                    s.spawn(|| {
-                        // Batch-at-a-time drain: no page re-materialization
-                        // just to count rows.
-                        if t.drain().is_ok() {
-                            completed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
+                    let tally = &tally;
+                    // Batch-at-a-time drain: no page re-materialization
+                    // just to count rows.
+                    s.spawn(move || tally(t.drain().is_ok()));
                 }
             });
         }
     } else {
         std::thread::scope(|s| {
             for c in 0..cfg.clients {
-                let completed = &completed;
-                let stop = &stop;
+                let (tally, failed, stop) = (&tally, &failed, &stop);
                 let knobs = WorkloadKnobs {
                     seed: cfg.knobs.seed.wrapping_add(c as u64),
                     ..cfg.knobs
@@ -89,13 +103,11 @@ pub fn run_throughput(db: &SharingDb, cfg: &DriverConfig) -> Result<ThroughputRe
                             break;
                         };
                         match db.submit(&plan) {
-                            Ok(t) => {
-                                if t.drain().is_ok() {
-                                    completed.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
+                            Ok(t) => tally(t.drain().is_ok()),
                             Err(_) => {
-                                // e.g. CJOIN saturation: back off briefly.
+                                // e.g. CJOIN saturation: count it, back
+                                // off briefly.
+                                failed.fetch_add(1, Ordering::Relaxed);
                                 std::thread::sleep(Duration::from_millis(1));
                             }
                         }
@@ -110,6 +122,7 @@ pub fn run_throughput(db: &SharingDb, cfg: &DriverConfig) -> Result<ThroughputRe
     let done = completed.load(Ordering::Relaxed);
     Ok(ThroughputResult {
         completed: done,
+        failed: failed.load(Ordering::Relaxed),
         elapsed,
         qps: done as f64 / elapsed.as_secs_f64(),
     })
@@ -177,6 +190,36 @@ mod tests {
         .unwrap();
         assert!(r.completed > 0, "no queries completed");
         assert!(r.qps > 0.0);
+        assert_eq!(r.failed, 0);
+    }
+
+    #[test]
+    fn throughput_run_counts_failed_queries() {
+        let _guard = qs_storage::fault::test_guard();
+        let db = db(ExecutionMode::Gqp);
+        // Every CJOIN page send fails: each admitted query is aborted.
+        qs_storage::fault::arm(
+            1,
+            &[("cjoin.chan.abort", qs_storage::fault::FaultSpec::prob(1.0))],
+        );
+        let run = |batching| {
+            run_throughput(
+                &db,
+                &DriverConfig {
+                    clients: 2,
+                    duration: Duration::from_millis(200),
+                    batching,
+                    knobs: WorkloadKnobs::restricted(SsbTemplate::Q2_1, 4, 1),
+                },
+            )
+            .unwrap()
+        };
+        let (per_client, batched) = (run(false), run(true));
+        qs_storage::fault::disarm();
+        for r in [per_client, batched] {
+            assert!(r.failed > 0, "aborted queries must be counted: {r:?}");
+            assert_eq!(r.completed, 0, "no aborted query is completed: {r:?}");
+        }
     }
 
     #[test]

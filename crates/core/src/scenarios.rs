@@ -260,6 +260,8 @@ pub struct ThroughputRow {
     pub qps: f64,
     /// Queries completed.
     pub completed: u64,
+    /// Queries that failed (refused at submission or aborted).
+    pub failed: u64,
     /// SP hits at the CJOIN stage (Scenario IV's key metric).
     pub cjoin_sp_hits: u64,
     /// Total SP hits across QPipe stages.
@@ -362,6 +364,7 @@ pub fn scenario2(cfg: &Scenario2Config) -> Result<Vec<ThroughputRow>, EngineErro
                 x: k as f64,
                 qps: r.qps,
                 completed: r.completed,
+                failed: r.failed,
                 cjoin_sp_hits: m.sp_hits_for(StageKind::Cjoin),
                 sp_hits: m.total_sp_hits(),
                 admission_evals: db.cjoin_stats().map(|s| s.admission_evals).unwrap_or(0),
@@ -461,6 +464,7 @@ pub fn scenario3(cfg: &Scenario3Config) -> Result<Vec<ThroughputRow>, EngineErro
                 x: sel,
                 qps: r.qps,
                 completed: r.completed,
+                failed: r.failed,
                 cjoin_sp_hits: m.sp_hits_for(StageKind::Cjoin),
                 sp_hits: m.total_sp_hits(),
                 admission_evals: db.cjoin_stats().map(|s| s.admission_evals).unwrap_or(0),
@@ -561,6 +565,7 @@ pub fn scenario4(cfg: &Scenario4Config) -> Result<Vec<ThroughputRow>, EngineErro
                 x: n as f64,
                 qps: r.qps,
                 completed: r.completed,
+                failed: r.failed,
                 cjoin_sp_hits: m.sp_hits_for(StageKind::Cjoin),
                 sp_hits: m.total_sp_hits(),
                 admission_evals: db.cjoin_stats().map(|s| s.admission_evals).unwrap_or(0),
@@ -577,16 +582,25 @@ pub fn format_throughput_table(title: &str, xlabel: &str, rows: &[ThroughputRow]
     let mut s = String::new();
     s.push_str(&format!("# {title}\n"));
     s.push_str(&format!(
-        "{:<10} {:>10} {:>10} {:>10} {:>14} {:>10} {:>12} {:>12}\n",
-        "mode", xlabel, "qps", "completed", "cjoin_sp_hits", "sp_hits", "adm_evals", "pg_shared"
+        "{:<10} {:>10} {:>10} {:>10} {:>8} {:>14} {:>10} {:>12} {:>12}\n",
+        "mode",
+        xlabel,
+        "qps",
+        "completed",
+        "failed",
+        "cjoin_sp_hits",
+        "sp_hits",
+        "adm_evals",
+        "pg_shared"
     ));
     for r in rows {
         s.push_str(&format!(
-            "{:<10} {:>10.3} {:>10.2} {:>10} {:>14} {:>10} {:>12} {:>12}\n",
+            "{:<10} {:>10.3} {:>10.2} {:>10} {:>8} {:>14} {:>10} {:>12} {:>12}\n",
             r.mode,
             r.x,
             r.qps,
             r.completed,
+            r.failed,
             r.cjoin_sp_hits,
             r.sp_hits,
             r.admission_evals,

@@ -6,6 +6,17 @@
 //! converted into interdependent *packets* dispatched to the stages; data
 //! flows between packets through the [`crate::hub::OutputHub`]s.
 //!
+//! The pool is sized by an exact count of free-worker *credits*:
+//! `credits = idle workers − queued packets`. Dispatch takes one credit
+//! per packet; when none was left it spawns a worker that stands for the
+//! credit the packet just took, and a worker returns its credit when its
+//! packet's operator returns. So every queued packet has an idle worker
+//! of its own (no deadlock however packets feed each other through
+//! buffers), and a stage holds only as many workers as packets it ever
+//! ran at once — a stage that runs two packets at a time keeps two
+//! workers, round after round. Only at `max_workers` may credits go
+//! negative, and packets then wait in the queue.
+//!
 //! Every stage also carries the **SP registry**: a map from sub-plan
 //! signature to the in-flight packet's output hub. When a new packet
 //! arrives whose signature matches an in-flight one whose sharing window
@@ -133,11 +144,15 @@ impl SpRegistry {
 struct StageInner {
     kind: StageKind,
     rx: Receiver<Packet>,
-    /// Number of workers guaranteed to be free (waiting in `recv` with no
-    /// packet already earmarked for them). Dispatch consumes one credit
-    /// per packet and spawns a worker when none is left, so the pool can
-    /// never have more outstanding packets than workers — which would
-    /// deadlock when queued packets feed each other through buffers.
+    /// Invariant: `credits = idle workers − queued packets`, where a
+    /// worker is idle from its spawn until it dequeues a packet and again
+    /// once that packet's operator has returned. Dispatch takes one
+    /// credit per packet; a worker spawned because none was left adds
+    /// the credit that the packet took, so the count stays exact and
+    /// `credits ≥ 0` below `max_workers`: the pool never has more queued
+    /// packets than idle workers — which would deadlock when queued
+    /// packets feed each other through buffers — and never more workers
+    /// than it needed.
     credits: AtomicIsize,
     workers: AtomicUsize,
     max_workers: usize,
@@ -174,7 +189,9 @@ impl Stage {
             inner,
         };
         for _ in 0..initial_workers.max(1) {
-            Self::spawn_worker(&stage.inner, true);
+            // A refused initial thread is not fatal: dispatch spawns on
+            // demand, and reports a refusal then to the packet's query.
+            let _ = Self::spawn_worker(&stage.inner);
         }
         stage
     }
@@ -201,11 +218,20 @@ impl Stage {
     /// pools the same way.
     pub fn dispatch(&self, packet: Packet) {
         self.inner.ctx.metrics.packet(self.inner.kind);
-        // Claim a free-worker credit; if none remained, spawn a worker
-        // dedicated (in the counting sense) to this packet.
+        // Claim a free-worker credit; if none remained, spawn the idle
+        // worker that credit stands for.
         let prev = self.inner.credits.fetch_sub(1, Ordering::AcqRel);
         if prev <= 0 && self.inner.workers.load(Ordering::Acquire) < self.inner.max_workers {
-            Self::spawn_worker(&self.inner, false);
+            if let Err(e) = Self::spawn_worker(&self.inner) {
+                // The packet is never queued: give its credit back and
+                // fail only its own query (the drop cancels its inputs).
+                self.inner.credits.fetch_add(1, Ordering::AcqRel);
+                packet.hub.abort(format!(
+                    "{} stage worker spawn failed: {e}",
+                    self.inner.kind.name()
+                ));
+                return;
+            }
         }
         // Send fails only if every worker exited, which only happens when
         // the engine is being dropped; dropping the packet then aborts its
@@ -213,66 +239,86 @@ impl Stage {
         let _ = self.tx.send(packet);
     }
 
-    fn spawn_worker(inner: &Arc<StageInner>, initial_credit: bool) {
-        let inner = inner.clone();
-        inner.workers.fetch_add(1, Ordering::Release);
-        if initial_credit {
-            inner.credits.fetch_add(1, Ordering::AcqRel);
+    /// Start one idle worker and add its credit. The credit is added only
+    /// once the thread exists, so no dispatch can count on a worker that
+    /// the OS refused (or the `stage.spawn` failpoint vetoed).
+    fn spawn_worker(inner: &Arc<StageInner>) -> std::io::Result<()> {
+        if qs_storage::fault::should_fire("stage.spawn") {
+            return Err(std::io::Error::other("injected fault 'stage.spawn'"));
         }
+        let worker = inner.clone();
+        inner.workers.fetch_add(1, Ordering::Release);
         let name = format!("qpipe-{}", inner.kind.name());
-        std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name(name)
-            .spawn(move || loop {
-                let pkt = inner.rx.recv();
-                match pkt {
-                    Ok(mut pkt) => {
-                        // Panic containment: a packet that unwinds (the PR 6
-                        // fuzzer's num_col panic, an injected alloc failure)
-                        // must cost exactly one query, not this worker and
-                        // every packet queued behind it. The catch converts
-                        // the panic into an abort on the packet's own hub;
-                        // the drop chain below cancels its upstream, and the
-                        // worker (and its credit) survive for co-runners.
-                        let ctl = pkt.ctl.clone().filter(|_| pkt.exclusive);
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            execute(&pkt.op, &mut pkt.inputs, &pkt.hub, &inner.ctx, ctl.as_deref())
-                        }));
-                        match result {
-                            Ok(Ok(())) => pkt.hub.finish(),
-                            Ok(Err(EngineError::Cancelled)) => {
-                                // Every consumer is gone; nothing to tell.
-                                pkt.hub.abort("cancelled");
-                            }
-                            Ok(Err(e)) => pkt.hub.abort(e.to_string()),
-                            Err(payload) => {
-                                inner
-                                    .ctx
-                                    .metrics
-                                    .panics_contained
-                                    .fetch_add(1, Ordering::Relaxed);
-                                pkt.hub.abort(format!(
-                                    "panic in {} stage: {}",
-                                    inner.kind.name(),
-                                    panic_message(&payload)
-                                ));
-                            }
-                        }
-                        // Dropping the packet drops its input readers,
-                        // cascading cancellation upstream if this packet
-                        // failed mid-stream.
-                        drop(pkt);
-                        // This worker is free again: return its credit so
-                        // the next dispatch reuses it instead of spawning.
-                        inner.credits.fetch_add(1, Ordering::AcqRel);
-                    }
-                    Err(_) => {
-                        inner.workers.fetch_sub(1, Ordering::Release);
-                        break; // engine dropped
-                    }
-                }
-            })
-            .expect("spawn stage worker");
+            .spawn(move || worker_loop(&worker));
+        match spawned {
+            Ok(_) => {
+                inner.credits.fetch_add(1, Ordering::AcqRel);
+                Ok(())
+            }
+            Err(e) => {
+                inner.workers.fetch_sub(1, Ordering::Release);
+                Err(e)
+            }
+        }
     }
+}
+
+/// A stage worker: run queued packets until the engine drops the queue.
+fn worker_loop(inner: &StageInner) {
+    while let Ok(mut pkt) = inner.rx.recv() {
+        // Panic containment: a packet that unwinds (the PR 6 fuzzer's
+        // num_col panic, an injected alloc failure) must cost exactly one
+        // query, not this worker and every packet queued behind it. The
+        // catch converts the panic into an abort on the packet's own hub;
+        // the drop chain below cancels its upstream, and the worker (and
+        // its credit) survive for co-runners.
+        let ctl = pkt.ctl.clone().filter(|_| pkt.exclusive);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            execute(
+                &pkt.op,
+                &mut pkt.inputs,
+                &pkt.hub,
+                &inner.ctx,
+                ctl.as_deref(),
+            )
+        }));
+        let outcome = match result {
+            Ok(Ok(())) => Ok(()),
+            // Every consumer is gone; nothing to tell.
+            Ok(Err(EngineError::Cancelled)) => Err("cancelled".to_string()),
+            Ok(Err(e)) => Err(e.to_string()),
+            Err(payload) => {
+                inner
+                    .ctx
+                    .metrics
+                    .panics_contained
+                    .fetch_add(1, Ordering::Relaxed);
+                Err(format!(
+                    "panic in {} stage: {}",
+                    inner.kind.name(),
+                    panic_message(&payload)
+                ))
+            }
+        };
+        // The operator has returned, so this worker is idle: return its
+        // credit *before* the consumers can see the end of the stream.
+        // A client that submits its next query the moment this one ends
+        // then finds the credit and reuses this worker instead of
+        // spawning another. Finishing the hub and dropping the packet
+        // below never wait on another packet.
+        inner.credits.fetch_add(1, Ordering::AcqRel);
+        match outcome {
+            Ok(()) => pkt.hub.finish(),
+            Err(msg) => pkt.hub.abort(msg),
+        }
+        // Dropping the packet drops its input readers, cascading
+        // cancellation upstream if this packet failed mid-stream.
+        drop(pkt);
+    }
+    // The queue closed: the engine is being dropped.
+    inner.workers.fetch_sub(1, Ordering::Release);
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -350,19 +396,17 @@ mod tests {
 
     #[test]
     fn stage_executes_packets() {
+        let _guard = qs_storage::fault::test_guard();
         let (ctx, catalog) = ctx();
         let stage = Stage::new(StageKind::Scan, ctx.clone(), 1, 8);
-        let (pkt, mut reader) = scan_packet(&ctx, &catalog);
+        let (pkt, reader) = scan_packet(&ctx, &catalog);
         stage.dispatch(pkt);
-        let mut rows = 0;
-        while let Some(b) = reader.next_batch().unwrap() {
-            rows += b.len();
-        }
-        assert_eq!(rows, 100);
+        assert_eq!(drain_rows(reader), 100);
     }
 
     #[test]
     fn pool_grows_under_concurrent_packets() {
+        let _guard = qs_storage::fault::test_guard();
         let (ctx, catalog) = ctx();
         let stage = Stage::new(StageKind::Scan, ctx.clone(), 1, 64);
         let mut readers = Vec::new();
@@ -373,14 +417,75 @@ mod tests {
         }
         // All six scans complete even though we started with one worker
         // (the FIFO capacity of 8 pages < 25 pages forces real pipelining).
-        for mut r in readers {
-            let mut rows = 0;
-            while let Some(b) = r.next_batch().unwrap() {
-                rows += b.len();
-            }
-            assert_eq!(rows, 100);
+        for r in readers {
+            assert_eq!(drain_rows(r), 100);
         }
-        assert!(stage.worker_count() >= 2);
+        // No scan can end before its reader drains it, so all six ran at
+        // once: exactly one worker per packet, none spare.
+        assert_eq!(stage.worker_count(), 6);
+    }
+
+    fn drain_rows(mut reader: Box<dyn BatchSource>) -> usize {
+        let mut rows = 0;
+        while let Some(b) = reader.next_batch().unwrap() {
+            rows += b.len();
+        }
+        rows
+    }
+
+    #[test]
+    fn pool_keeps_its_size_across_rounds() {
+        let _guard = qs_storage::fault::test_guard();
+        // Each round runs two packets at once, then drains both. The
+        // stage needs two workers and must reuse them round after round;
+        // a worker spawned for a round's second packet that went
+        // uncounted would add one idle thread per round.
+        let (ctx, catalog) = ctx();
+        let stage = Stage::new(StageKind::Scan, ctx.clone(), 1, 1024);
+        for _ in 0..200 {
+            let (a, ra) = scan_packet(&ctx, &catalog);
+            let (b, rb) = scan_packet(&ctx, &catalog);
+            stage.dispatch(a);
+            stage.dispatch(b);
+            assert_eq!(drain_rows(ra) + drain_rows(rb), 200);
+        }
+        assert_eq!(stage.worker_count(), 2);
+    }
+
+    #[test]
+    fn refused_worker_spawn_aborts_only_its_packet() {
+        let _guard = qs_storage::fault::test_guard();
+        let (ctx, catalog) = ctx();
+        let stage = Stage::new(StageKind::Scan, ctx.clone(), 1, 64);
+        // The first packet takes the only worker and holds it (its reader
+        // is not drained yet); the second needs a new thread, which the
+        // failpoint refuses.
+        let (first, first_reader) = scan_packet(&ctx, &catalog);
+        stage.dispatch(first);
+        qs_storage::fault::arm(
+            1,
+            &[("stage.spawn", qs_storage::fault::FaultSpec::prob(1.0))],
+        );
+        let (second, mut second_reader) = scan_packet(&ctx, &catalog);
+        stage.dispatch(second);
+        qs_storage::fault::disarm();
+        match second_reader.next_batch() {
+            Err(EngineError::Aborted(msg)) => {
+                assert!(msg.contains("stage worker spawn failed"), "{msg}");
+                assert!(msg.contains("stage.spawn"), "names the failpoint: {msg}");
+            }
+            Err(e) => panic!("expected Aborted, got {e:?}"),
+            Ok(_) => panic!("expected Aborted, got a batch"),
+        }
+        // The co-runner is untouched, the refused worker is not counted,
+        // and the refused packet's credit came back: the next packet
+        // spawns its worker and runs.
+        assert_eq!(drain_rows(first_reader), 100);
+        assert_eq!(stage.worker_count(), 1);
+        let (third, third_reader) = scan_packet(&ctx, &catalog);
+        stage.dispatch(third);
+        assert_eq!(drain_rows(third_reader), 100);
+        assert_eq!(stage.worker_count(), 1);
     }
 
     #[test]

@@ -12,6 +12,15 @@
 //! real buffer pool latches an in-flight frame. Without this, N concurrent
 //! scans of the same table would charge N disk reads per page and shared
 //! scans would lose their I/O benefit.
+//!
+//! A sequential reader that knows its next pages (CJOIN's circular fact
+//! scan) can ask for them early with [`BufferPool::read_ahead`]. The load
+//! goes through the same single-flight entry as [`BufferPool::get`], so a
+//! page is never read twice, and runs on the pool's reader threads, so up
+//! to [`BufferPool::read_ahead_window`] reads use the disk's spindles at
+//! once instead of one after the other. A memory-resident or cacheless
+//! pool has a window of zero: it starts no reader and read-ahead is a
+//! no-op.
 
 use crate::disk::DiskModel;
 use crate::error::StorageError;
@@ -21,7 +30,11 @@ use crate::table::Table;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, OnceLock};
+use std::thread::JoinHandle;
+
+/// Upper bound on the read-ahead window, whatever the spindle count.
+const MAX_READ_AHEAD: usize = 16;
 
 /// Buffer pool configuration.
 #[derive(Debug, Clone)]
@@ -54,6 +67,10 @@ pub struct BufferPoolStats {
     pub misses: u64,
     /// Frames evicted to make room.
     pub evictions: u64,
+    /// Loads issued by [`BufferPool::read_ahead`]. Each is also a miss,
+    /// and the later `get` it served counts a hit, so `hits − read_ahead`
+    /// is the number of accesses the pool's residency served.
+    pub read_ahead: u64,
 }
 
 impl BufferPoolStats {
@@ -87,9 +104,8 @@ struct Inner {
     hand: usize,
 }
 
-/// The buffer pool. Cheap to share (`Arc<BufferPool>`); all methods take
-/// `&self`.
-pub struct BufferPool {
+/// The pool's state, shared with its reader threads.
+struct Shared {
     disk: Arc<DiskModel>,
     capacity: usize,
     inner: Mutex<Inner>,
@@ -97,29 +113,50 @@ pub struct BufferPool {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    read_ahead: AtomicU64,
+}
+
+/// A read-ahead request: page `.1` of table `.0`.
+type Job = (Arc<Table>, usize);
+
+/// The reader threads and their queue, started on first read-ahead.
+struct Readers {
+    queue: mpsc::Sender<Job>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+/// The buffer pool. Cheap to share (`Arc<BufferPool>`); all methods take
+/// `&self`. Dropping it joins its reader threads.
+pub struct BufferPool {
+    shared: Arc<Shared>,
+    readers: OnceLock<Readers>,
 }
 
 impl BufferPool {
     /// Create a pool over the given simulated disk.
     pub fn new(config: BufferPoolConfig, disk: Arc<DiskModel>) -> Self {
         BufferPool {
-            disk,
-            capacity: config.capacity_pages,
-            inner: Mutex::new(Inner {
-                frames: Vec::new(),
-                map: HashMap::new(),
-                hand: 0,
+            shared: Arc::new(Shared {
+                disk,
+                capacity: config.capacity_pages,
+                inner: Mutex::new(Inner {
+                    frames: Vec::new(),
+                    map: HashMap::new(),
+                    hand: 0,
+                }),
+                loaded: Condvar::new(),
+                hits: AtomicU64::new(0),
+                misses: AtomicU64::new(0),
+                evictions: AtomicU64::new(0),
+                read_ahead: AtomicU64::new(0),
             }),
-            loaded: Condvar::new(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            readers: OnceLock::new(),
         }
     }
 
     /// The disk this pool reads from.
     pub fn disk(&self) -> &Arc<DiskModel> {
-        &self.disk
+        &self.shared.disk
     }
 
     /// Fetch page `page_no` of `table`, reading through the simulated disk
@@ -128,73 +165,203 @@ impl BufferPool {
     /// failpoint in this in-process model) surfaces as
     /// [`StorageError::Io`] to the caller that drew it; hits never fail.
     pub fn get(&self, table: &Table, page_no: usize) -> Result<Arc<Page>, StorageError> {
+        let shared = &self.shared;
         let pid = table.page_id(page_no);
 
-        if self.capacity == 0 {
+        if shared.capacity == 0 {
             // Cache disabled: always charge the disk, sized to the page's
             // encoded bytes (compressed columnar pages read faster).
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            shared.misses.fetch_add(1, Ordering::Relaxed);
             fault::maybe_io("disk.read", "uncached page read")?;
             let page = table.raw_page(page_no).clone();
-            self.disk.read_page_sized(page.byte_len());
+            shared.disk.read_page_sized(page.byte_len());
             return Ok(page);
         }
 
         loop {
-            {
-                let mut inner = self.inner.lock();
-                match inner.map.get(&pid) {
-                    Some(Entry::Resident(idx)) => {
-                        let idx = *idx;
-                        inner.frames[idx].ref_bit = true;
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(inner.frames[idx].page.clone());
-                    }
-                    Some(Entry::Loading) => {
-                        // Another thread is reading it; wait for the frame.
-                        self.loaded.wait(&mut inner);
-                        continue;
-                    }
-                    None => {
-                        inner.map.insert(pid, Entry::Loading);
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        // fall through to perform the read outside the lock
-                    }
+            let mut inner = shared.inner.lock();
+            match inner.map.get(&pid) {
+                Some(Entry::Resident(idx)) => {
+                    let idx = *idx;
+                    inner.frames[idx].ref_bit = true;
+                    shared.hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(inner.frames[idx].page.clone());
                 }
-            }
-
-            // Simulated I/O happens outside the pool lock so reads on
-            // different spindles overlap; the charge scales with the
-            // page's encoded size (columnar compression buys I/O time).
-            let read = fault::maybe_io("disk.read", "page read").map(|()| {
-                let page = table.raw_page(page_no).clone();
-                self.disk.read_page_sized(page.byte_len());
-                page
-            });
-
-            let mut inner = self.inner.lock();
-            match read {
-                Ok(page) => {
-                    let idx = self.place(&mut inner, pid, page.clone());
-                    debug_assert!(idx < inner.frames.len());
-                    self.loaded.notify_all();
-                    return Ok(page);
+                Some(Entry::Loading) => {
+                    // Another thread is reading it; wait for the frame.
+                    shared.loaded.wait(&mut inner);
                 }
-                Err(e) => {
-                    // We own the `Loading` entry; it must not outlive the
-                    // failed read or every waiter blocks forever. Clearing
-                    // it makes the next caller retry the load fresh.
-                    inner.map.remove(&pid);
-                    self.loaded.notify_all();
-                    return Err(e);
+                None => {
+                    inner.map.insert(pid, Entry::Loading);
+                    shared.misses.fetch_add(1, Ordering::Relaxed);
+                    drop(inner);
+                    return shared.load(table, page_no, pid);
                 }
             }
         }
     }
 
-    /// Install `page` into a frame, evicting if at capacity. Returns the
-    /// frame index. Caller holds the lock.
-    fn place(&self, inner: &mut Inner, pid: PageId, page: Arc<Page>) -> usize {
+    /// Start loading page `page_no` of `table` in the background, so that
+    /// a later [`BufferPool::get`] finds it resident or in flight. Does
+    /// nothing when the page is resident or already loading, or when the
+    /// pool has no read-ahead window. A failed load is dropped and its
+    /// entry cleared: the next `get` reads the page itself, and only that
+    /// read's error reaches a caller.
+    pub fn read_ahead(&self, table: &Arc<Table>, page_no: usize) {
+        let Some(readers) = self.readers() else {
+            return;
+        };
+        let pid = table.page_id(page_no);
+        {
+            let mut inner = self.shared.inner.lock();
+            if inner.map.contains_key(&pid) {
+                return;
+            }
+            inner.map.insert(pid, Entry::Loading);
+        }
+        self.shared.misses.fetch_add(1, Ordering::Relaxed);
+        self.shared.read_ahead.fetch_add(1, Ordering::Relaxed);
+        // The readers outlive every `&self`, so the send cannot fail.
+        let _ = readers.queue.send((table.clone(), page_no));
+    }
+
+    /// How many pages a sequential reader should keep in flight ahead of
+    /// its position: one per spindle, at most a quarter of the pool and
+    /// at most 16. Zero for a disk without latency or a pool without
+    /// frames.
+    ///
+    /// Why a quarter: clock evicts a page only once its hand has passed
+    /// it twice, `2 × capacity − 1` steps after placing it, and each step
+    /// either clears a reference bit or evicts. A page read ahead is used
+    /// after at most `window` more placements and `window` gets, which
+    /// set at most `2 × window` bits on top of the `capacity` already
+    /// set, so the hand moves at most `capacity + 3 × window` steps. With
+    /// the window at most a quarter of a pool of more than four frames
+    /// that falls short of two passes: while the scan is the pool's only
+    /// reader, no page it read ahead is evicted unused.
+    pub fn read_ahead_window(&self) -> usize {
+        let disk = self.shared.disk.config();
+        if disk.latency.is_zero() {
+            return 0;
+        }
+        disk.spindles
+            .min(self.shared.capacity / 4)
+            .min(MAX_READ_AHEAD)
+    }
+
+    /// Number of reader threads this pool has started (test/debug).
+    pub fn reader_threads(&self) -> usize {
+        self.readers.get().map_or(0, |r| r.threads.len())
+    }
+
+    /// The reader threads, started on first use: one per page of the
+    /// read-ahead window. `None` when the window is zero or the OS refused
+    /// every thread.
+    fn readers(&self) -> Option<&Readers> {
+        let window = self.read_ahead_window();
+        if window == 0 {
+            return None;
+        }
+        let readers = self.readers.get_or_init(|| {
+            let (queue, jobs) = mpsc::channel::<Job>();
+            let jobs = Arc::new(std::sync::Mutex::new(jobs));
+            let threads = (0..window)
+                .filter_map(|i| {
+                    let (shared, jobs) = (self.shared.clone(), jobs.clone());
+                    std::thread::Builder::new()
+                        .name(format!("qs-read-ahead-{i}"))
+                        .spawn(move || loop {
+                            let job = jobs.lock().unwrap_or_else(|p| p.into_inner()).recv();
+                            let Ok((table, page_no)) = job else {
+                                break; // the pool was dropped
+                            };
+                            let pid = table.page_id(page_no);
+                            let _ = shared.load(&table, page_no, pid);
+                        })
+                        .ok()
+                })
+                .collect();
+            Readers { queue, threads }
+        });
+        (!readers.threads.is_empty()).then_some(readers)
+    }
+
+    /// Snapshot the counters.
+    pub fn stats(&self) -> BufferPoolStats {
+        let shared = &self.shared;
+        BufferPoolStats {
+            hits: shared.hits.load(Ordering::Relaxed),
+            misses: shared.misses.load(Ordering::Relaxed),
+            evictions: shared.evictions.load(Ordering::Relaxed),
+            read_ahead: shared.read_ahead.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Reset the counters (between experiment points). Resident pages are
+    /// kept; call [`BufferPool::clear`] to drop them too.
+    pub fn reset_stats(&self) {
+        let shared = &self.shared;
+        shared.hits.store(0, Ordering::Relaxed);
+        shared.misses.store(0, Ordering::Relaxed);
+        shared.evictions.store(0, Ordering::Relaxed);
+        shared.read_ahead.store(0, Ordering::Relaxed);
+    }
+
+    /// Drop every resident page (cold-start a scenario).
+    pub fn clear(&self) {
+        let mut inner = self.shared.inner.lock();
+        inner.frames.clear();
+        inner.map.clear();
+        inner.hand = 0;
+    }
+
+    /// Number of frames currently resident.
+    pub fn resident_pages(&self) -> usize {
+        self.shared.inner.lock().frames.len()
+    }
+}
+
+impl Drop for BufferPool {
+    fn drop(&mut self) {
+        // Closing the queue stops each reader after its current load.
+        if let Some(Readers { queue, threads }) = self.readers.take() {
+            drop(queue);
+            for t in threads {
+                let _ = t.join();
+            }
+        }
+    }
+}
+
+impl Shared {
+    /// Read a page whose `Loading` entry the caller inserted, then install
+    /// it or — on a read failure — remove the entry, waking the waiters
+    /// either way. The read happens outside the pool lock so reads on
+    /// different spindles overlap; the charge scales with the page's
+    /// encoded size (columnar compression buys I/O time).
+    fn load(&self, table: &Table, page_no: usize, pid: PageId) -> Result<Arc<Page>, StorageError> {
+        let read = fault::maybe_io("disk.read", "page read").map(|()| {
+            let page = table.raw_page(page_no).clone();
+            self.disk.read_page_sized(page.byte_len());
+            page
+        });
+        let mut inner = self.inner.lock();
+        match &read {
+            Ok(page) => self.place(&mut inner, pid, page.clone()),
+            // The `Loading` entry must not outlive the failed read or
+            // every waiter blocks forever. Clearing it makes the next
+            // caller retry the load fresh.
+            Err(_) => {
+                inner.map.remove(&pid);
+            }
+        }
+        self.loaded.notify_all();
+        read
+    }
+
+    /// Install `page` into a frame, evicting if at capacity. Caller holds
+    /// the lock.
+    fn place(&self, inner: &mut Inner, pid: PageId, page: Arc<Page>) {
         if inner.frames.len() < self.capacity {
             let idx = inner.frames.len();
             inner.frames.push(Frame {
@@ -203,7 +370,7 @@ impl BufferPool {
                 ref_bit: true,
             });
             inner.map.insert(pid, Entry::Resident(idx));
-            return idx;
+            return;
         }
         // Clock sweep: clear reference bits until a victim is found. With
         // immutable Arc pages every resident frame is evictable, so the
@@ -228,37 +395,6 @@ impl BufferPool {
             ref_bit: true,
         };
         inner.map.insert(pid, Entry::Resident(idx));
-        idx
-    }
-
-    /// Snapshot the counters.
-    pub fn stats(&self) -> BufferPoolStats {
-        BufferPoolStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Reset the counters (between experiment points). Resident pages are
-    /// kept; call [`BufferPool::clear`] to drop them too.
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-
-    /// Drop every resident page (cold-start a scenario).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.frames.clear();
-        inner.map.clear();
-        inner.hand = 0;
-    }
-
-    /// Number of frames currently resident.
-    pub fn resident_pages(&self) -> usize {
-        self.inner.lock().frames.len()
     }
 }
 
@@ -336,7 +472,7 @@ mod tests {
         let s = BufferPoolStats {
             hits: 3,
             misses: 1,
-            evictions: 0,
+            ..Default::default()
         };
         assert!((s.hit_ratio() - 0.75).abs() < 1e-9);
         assert_eq!(BufferPoolStats::default().hit_ratio(), 1.0);
@@ -381,6 +517,121 @@ mod tests {
         // The failed load must not leave a stuck `Loading` entry: the
         // same page is readable again once the fault clears.
         assert_eq!(pool.get(&t, 0).unwrap().rows(), 4);
+    }
+
+    fn slow_disk(spindles: usize) -> Arc<DiskModel> {
+        Arc::new(DiskModel::new(DiskConfig {
+            spindles,
+            latency: std::time::Duration::from_micros(200),
+        }))
+    }
+
+    /// One revolution of a sequential scan that keeps `window` pages
+    /// loading ahead of its position, as CJOIN's fact scan does.
+    fn scan_with_read_ahead(pool: &BufferPool, t: &Arc<Table>) {
+        let window = pool.read_ahead_window();
+        for pos in 0..t.page_count() {
+            if pos == 0 {
+                (1..=window).for_each(|p| pool.read_ahead(t, p));
+            } else if pos + window < t.page_count() {
+                pool.read_ahead(t, pos + window);
+            }
+            assert_eq!(pool.get(t, pos).unwrap().rows(), 4);
+        }
+    }
+
+    #[test]
+    fn read_ahead_revolution_reads_every_page_once() {
+        let _g = fault::test_guard();
+        fault::disarm();
+        // 20 pages, and a pool of 16 frames: pages are evicted behind the
+        // scan, never ahead of it.
+        let t = Arc::new(table(80, 32));
+        let pool = BufferPool::new(BufferPoolConfig::with_capacity(16), slow_disk(4));
+        assert_eq!(pool.read_ahead_window(), 4);
+        scan_with_read_ahead(&pool, &t);
+        assert_eq!(
+            pool.disk().stats().reads,
+            20,
+            "every page read exactly once"
+        );
+        assert_eq!(pool.reader_threads(), 4);
+        let s = pool.stats();
+        // Page 0 was the scan's own miss; pages 1..20 were read ahead,
+        // and each of those `get`s found its page resident or in flight.
+        assert_eq!((s.read_ahead, s.misses, s.hits), (19, 20, 19));
+        assert_eq!(
+            s.hits - s.read_ahead,
+            0,
+            "no access was served by residency"
+        );
+        // Reading ahead a resident page issues nothing.
+        pool.read_ahead(&t, 19);
+        assert_eq!(pool.stats().read_ahead, 19);
+        assert_eq!(pool.disk().stats().reads, 20);
+    }
+
+    #[test]
+    fn read_ahead_window_is_zero_without_latency_or_frames() {
+        let _g = fault::test_guard();
+        fault::disarm();
+        let t = Arc::new(table(80, 32));
+        let pools = [
+            BufferPool::new(BufferPoolConfig::unbounded(), mem_disk()),
+            BufferPool::new(BufferPoolConfig::with_capacity(0), slow_disk(4)),
+            BufferPool::new(BufferPoolConfig::with_capacity(3), slow_disk(4)),
+        ];
+        for pool in &pools {
+            assert_eq!(pool.read_ahead_window(), 0);
+            scan_with_read_ahead(pool, &t);
+            assert_eq!(pool.reader_threads(), 0, "no reader thread started");
+            assert_eq!(pool.stats().read_ahead, 0);
+        }
+        // The window is one page per spindle, at most a quarter of the
+        // pool and at most 16.
+        let window = |cap, spindles| {
+            BufferPool::new(BufferPoolConfig::with_capacity(cap), slow_disk(spindles))
+                .read_ahead_window()
+        };
+        assert_eq!(window(1000, 7), 7);
+        assert_eq!(window(12, 7), 3);
+        assert_eq!(window(1000, 64), 16);
+    }
+
+    #[test]
+    fn failed_read_ahead_is_dropped_and_the_get_reads_itself() {
+        let _g = fault::test_guard();
+        let t = Arc::new(table(8, 32)); // 2 pages
+        let pool = BufferPool::new(BufferPoolConfig::with_capacity(4), slow_disk(2));
+        fault::arm(1, &[("disk.read", fault::FaultSpec::prob(1.0))]);
+        pool.read_ahead(&t, 1);
+        // Wait for the reader to draw the fault (a bounded wait: the
+        // load starts as soon as a reader takes the request).
+        let start = std::time::Instant::now();
+        while fault::fired("disk.read") == 0 {
+            assert!(start.elapsed() < std::time::Duration::from_secs(10));
+            std::thread::yield_now();
+        }
+        fault::disarm();
+        // The failed load left no entry and no error behind: the `get`
+        // misses and reads the page itself.
+        assert_eq!(pool.get(&t, 1).unwrap().rows(), 4);
+        let s = pool.stats();
+        assert_eq!((s.read_ahead, s.misses, s.hits), (1, 2, 0));
+        assert_eq!(pool.disk().stats().reads, 1);
+    }
+
+    #[test]
+    fn dropping_the_pool_joins_its_readers() {
+        let _g = fault::test_guard();
+        fault::disarm();
+        let t = Arc::new(table(80, 32));
+        let pool = BufferPool::new(BufferPoolConfig::with_capacity(8), slow_disk(4));
+        (0..4).for_each(|p| pool.read_ahead(&t, p));
+        let disk = pool.disk().clone();
+        drop(pool);
+        // Every queued load finished before the drop returned.
+        assert_eq!(disk.stats().reads, 4);
     }
 
     #[test]

@@ -188,3 +188,71 @@ fn cjoin_early_removal_leaves_corunners_byte_identical() {
         assert_eq!(got, reference::canon(expected));
     }
 }
+
+/// Read-ahead on a disk-resident CJOIN scan: a `disk.read` fault drawn by
+/// a read-ahead load is dropped (the scan then reads the page itself),
+/// while one drawn by the scan's own read aborts exactly the queries of
+/// the revolution with the typed "fact page … unreadable" cause, and the
+/// pipeline lives on.
+#[test]
+fn cjoin_fact_read_faults_reach_queries_only_through_the_scan() {
+    let _guard = fault::test_guard();
+    fault::disarm();
+    let seed = env_u64("CHAOS_SEED", 0xAB0_2026) ^ 0xDD;
+    eprintln!("abort_propagation: read-ahead fault seed={seed}");
+    let catalog = build_catalog(seed ^ 0x55B);
+    let fact_pages = catalog.get("lineorder").expect("lineorder").page_count();
+    let mut cfg = DbConfig::new(ExecutionMode::Gqp);
+    cfg.disk = DiskConfig {
+        spindles: 4,
+        latency: std::time::Duration::from_micros(50),
+    };
+    cfg.buffer_pool_pages = Some(fact_pages / 4);
+    let db = SharingDb::new(catalog.clone(), cfg).expect("db");
+    assert!(db.pool().read_ahead_window() > 0, "{fact_pages} fact pages");
+    let plans = [star_agg_plan(&catalog, 0, 25), star_agg_plan(&catalog, 10, 40)];
+    let expected: Vec<_> = plans
+        .iter()
+        .map(|p| reference::canon(reference::eval(p, &catalog).expect("oracle")))
+        .collect();
+    let is_unreadable_page =
+        |msg: &str| msg.contains("fact page") && msg.contains("unreadable");
+
+    // Every read fails: the scan's own read of its first page aborts both
+    // queries of the revolution with the typed cause.
+    fault::arm(seed, &[("disk.read", fault::FaultSpec::prob(1.0))]);
+    let tickets: Vec<_> = plans.iter().map(|p| db.submit(p).expect("submit")).collect();
+    for t in tickets {
+        match t.collect_rows() {
+            Err(EngineError::Aborted(msg)) => assert!(is_unreadable_page(&msg), "{msg}"),
+            other => panic!("expected a fact-page abort, got {other:?}"),
+        }
+    }
+    fault::disarm();
+
+    // Sparse faults, one query at a time: each query matches the oracle
+    // or was aborted by a fault that its own scan drew — so the failed
+    // queries count exactly the scan's faults. Read-ahead loads most
+    // pages and draws most faults; were any of those to reach a query,
+    // as many queries would fail as faults fired.
+    fault::arm(seed, &[("disk.read", fault::FaultSpec::prob(0.05))]);
+    let mut failed = 0u64;
+    for i in 0..8 {
+        let t = db.submit(&plans[i % 2]).expect("submit");
+        match t.collect_rows() {
+            Ok(rows) => assert_eq!(reference::canon(rows), expected[i % 2], "query {i}"),
+            Err(EngineError::Aborted(msg)) if is_unreadable_page(&msg) => failed += 1,
+            Err(e) => panic!("query {i}: unexpected error {e:?}"),
+        }
+    }
+    let fired = fault::fired("disk.read");
+    fault::disarm();
+    eprintln!("abort_propagation: {fired} fact reads failed, {failed} queries aborted");
+    assert!(fired > failed, "{fired} faults fired, {failed} queries failed");
+
+    // The pipeline survived both storms.
+    for (plan, want) in plans.iter().zip(&expected) {
+        let rows = db.submit(plan).expect("submit").collect_rows().expect("rows");
+        assert_eq!(&reference::canon(rows), want);
+    }
+}
