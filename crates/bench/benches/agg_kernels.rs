@@ -10,11 +10,11 @@
 //! (column slice + selection mask vs folding `RowRef`s).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use qs_cjoin::{AggPlan, Bitmap, SharedAggregator};
+use qs_cjoin::{AggPlan, SharedAggregator};
 use qs_engine::agg::{make_acc, update_acc, Acc};
 use qs_engine::kernels::{kernel_columns, update_masked, AccVec, AggKernel};
 use qs_plan::{AggFunc, AggSpec};
-use qs_storage::{mask_words, ColumnBatch, DataType, Page, PageBuilder, Schema, Value};
+use qs_storage::{mask_words, BitColumn, ColumnBatch, DataType, Page, PageBuilder, Schema, Value};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
@@ -32,14 +32,14 @@ fn schema() -> Arc<Schema> {
 }
 
 /// Annotated tuple batches: every tuple relevant to ~75% of the queries.
-fn make_batches(pages: usize, rows_per_page: usize, seed: u64) -> Vec<(Page, Vec<Bitmap>)> {
+fn make_batches(pages: usize, rows_per_page: usize, seed: u64) -> Vec<(Page, BitColumn)> {
     let schema = schema();
     let mut rng = StdRng::seed_from_u64(seed);
     (0..pages)
         .map(|_| {
             let mut b = PageBuilder::with_bytes(schema.clone(), rows_per_page * 24 + 64);
-            let mut bitmaps = Vec::with_capacity(rows_per_page);
-            for _ in 0..rows_per_page {
+            let mut bits = BitColumn::zeros(mask_words(NQUERIES_MAX), rows_per_page);
+            for t in 0..rows_per_page {
                 let ok = b
                     .push_values(&[
                         Value::Int(rng.random_range(0..32)),
@@ -48,15 +48,13 @@ fn make_batches(pages: usize, rows_per_page: usize, seed: u64) -> Vec<(Page, Vec
                     ])
                     .expect("row fits");
                 assert!(ok);
-                let mut bm = Bitmap::zeros(NQUERIES_MAX);
                 for q in 0..NQUERIES_MAX {
                     if rng.random_bool(0.75) {
-                        bm.set(q);
+                        bits.set(t, q);
                     }
                 }
-                bitmaps.push(bm);
             }
-            (b.finish(), bitmaps)
+            (b.finish(), bits)
         })
         .collect()
 }
@@ -96,15 +94,14 @@ impl RowAtATimeAggregator {
         self.queries.push((slot, plan, HashMap::new()));
     }
 
-    fn push_page(&mut self, page: &Page, bitmaps: &[Bitmap]) {
+    fn push_page(&mut self, page: &Page, bits: &BitColumn) {
         let mut key_buf: Vec<u8> = Vec::new();
         for (i, row) in page.iter().enumerate() {
-            let bm = &bitmaps[i];
-            if !bm.any() {
+            if bits.tuple(i).iter().all(|&w| w == 0) {
                 continue;
             }
             for (slot, plan, groups) in &mut self.queries {
-                if !bm.get(*slot as usize) {
+                if !bits.get(i, *slot as usize) {
                     continue;
                 }
                 key_buf.clear();
@@ -179,10 +176,10 @@ fn bench_masked_scalar_kernels(c: &mut Criterion) {
     // Selection mask per page: rows relevant to query 0.
     let masks: Vec<Vec<u64>> = batches
         .iter()
-        .map(|(p, bms)| {
+        .map(|(p, bits)| {
             let mut m = vec![0u64; mask_words(p.rows())];
-            for (i, bm) in bms.iter().enumerate() {
-                if bm.get(0) {
+            for i in 0..bits.len() {
+                if bits.get(i, 0) {
                     m[i / 64] |= 1 << (i % 64);
                 }
             }

@@ -9,9 +9,9 @@
 //! and wins as concurrency grows — this bench regenerates the crossover.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use qs_cjoin::{AggPlan, Bitmap, SharedAggregator};
+use qs_cjoin::{AggPlan, SharedAggregator};
 use qs_plan::{AggFunc, AggSpec};
-use qs_storage::{DataType, Page, PageBuilder, Schema, Value};
+use qs_storage::{mask_words, BitColumn, DataType, Page, PageBuilder, Schema, Value};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
@@ -28,14 +28,14 @@ fn schema() -> Arc<Schema> {
 }
 
 /// Annotated tuple batches: every tuple relevant to ~75% of the queries.
-fn make_batches(pages: usize, rows_per_page: usize, seed: u64) -> Vec<(Page, Vec<Bitmap>)> {
+fn make_batches(pages: usize, rows_per_page: usize, seed: u64) -> Vec<(Page, BitColumn)> {
     let schema = schema();
     let mut rng = StdRng::seed_from_u64(seed);
     (0..pages)
         .map(|_| {
             let mut b = PageBuilder::with_bytes(schema.clone(), rows_per_page * 24 + 64);
-            let mut bitmaps = Vec::with_capacity(rows_per_page);
-            for _ in 0..rows_per_page {
+            let mut bits = BitColumn::zeros(mask_words(NQUERIES_MAX), rows_per_page);
+            for t in 0..rows_per_page {
                 let ok = b
                     .push_values(&[
                         Value::Int(rng.random_range(0..32)),
@@ -44,15 +44,13 @@ fn make_batches(pages: usize, rows_per_page: usize, seed: u64) -> Vec<(Page, Vec
                     ])
                     .expect("row fits");
                 assert!(ok);
-                let mut bm = Bitmap::zeros(NQUERIES_MAX);
                 for q in 0..NQUERIES_MAX {
                     if rng.random_bool(0.75) {
-                        bm.set(q);
+                        bits.set(t, q);
                     }
                 }
-                bitmaps.push(bm);
             }
-            (b.finish(), bitmaps)
+            (b.finish(), bits)
         })
         .collect()
 }

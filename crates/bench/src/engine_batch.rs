@@ -178,7 +178,7 @@ pub fn pass_factbatch(pages: &[Arc<Page>], queries: &[QuerySpec]) -> u64 {
                 continue;
             }
             let batch =
-                FactBatch::new(page.clone(), std::mem::take(&mut sel), Vec::new());
+                FactBatch::new(page.clone(), std::mem::take(&mut sel));
             let agg_view = batch.columns(&st.agg_cols);
             st.fold(&agg_view);
         }

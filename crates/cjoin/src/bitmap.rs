@@ -1,17 +1,18 @@
 //! Query bitmaps — the tuple/query correlation mechanism of the GQP.
 //!
-//! Every tuple flowing through the CJOIN pipeline carries a
-//! [`Bitmap`] whose bit `q` means "this tuple is (still) relevant to
-//! query `q`". Shared selections set bits; shared hash joins AND the
-//! fact tuple's bitmap with the matching dimension tuple's bitmap; a
-//! tuple whose bitmap reaches zero is dropped.
+//! Every tuple flowing through the CJOIN pipeline carries query bits
+//! whose bit `q` means "this tuple is (still) relevant to query `q`".
+//! Shared selections set bits; shared hash joins AND the fact tuple's
+//! bits with the matching dimension entry's bits; a tuple whose bits
+//! reach zero is dropped.
 //!
-//! The plain `Bitmap` now lives in `qs_storage::bitmap` (re-exported
-//! here), because [`qs_storage::FactBatch`] made (selection, bitmaps)
-//! the post-predicate batch currency of every layer. What remains
-//! CJOIN-specific is the [`AtomicBitmap`]: dimension-side bitmaps are
-//! updated *online* while the pipeline runs (query admission), so they
-//! need atomic words.
+//! The fact side lives in `qs_storage` ([`qs_storage::BitColumn`], one
+//! dense column per [`qs_storage::FactBatch`]; the standalone [`Bitmap`]
+//! is re-exported here). The dimension side is updated *online* while
+//! the pipeline runs (query admission), so it needs atomic words: the
+//! entries' bits are one entry-major atomic column per dimension
+//! ([`crate::join::DimJoin`]) and each stage's bypass mask is an
+//! [`AtomicBitmap`].
 
 pub use qs_storage::bitmap::Bitmap;
 
@@ -68,22 +69,11 @@ impl AtomicBitmap {
         Bitmap::from_words(self.words.iter().map(|w| w.load(Ordering::Acquire)).collect())
     }
 
-    /// `dst &= (self | mask)` without allocating (hot join path).
-    #[inline]
-    pub fn and_or_into(&self, mask: &AtomicBitmap, dst: &mut Bitmap) {
-        for (i, d) in dst.words_mut().iter_mut().enumerate() {
-            let w = self.words[i].load(Ordering::Acquire);
-            let m = mask.words[i].load(Ordering::Acquire);
-            *d &= w | m;
-        }
-    }
-
-    /// `dst &= self` without allocating.
-    #[inline]
-    pub fn and_into(&self, dst: &mut Bitmap) {
-        for (i, d) in dst.words_mut().iter_mut().enumerate() {
-            *d &= self.words[i].load(Ordering::Acquire);
-        }
+    /// Load every word into `dst` (cleared first): a plain snapshot for
+    /// a loop that reads the mask once per batch.
+    pub fn load_into(&self, dst: &mut Vec<u64>) {
+        dst.clear();
+        dst.extend(self.words.iter().map(|w| w.load(Ordering::Acquire)));
     }
 }
 
@@ -117,31 +107,14 @@ mod tests {
     }
 
     #[test]
-    fn atomic_and_or_into_matches_plain() {
-        let dim = AtomicBitmap::zeros(128);
-        let mask = AtomicBitmap::zeros(128);
-        dim.set(1);
-        dim.set(70);
-        mask.set(2);
-        let mut dst = Bitmap::zeros(128);
-        dst.set(1);
-        dst.set(2);
-        dst.set(70);
-        dst.set(99);
-        dim.and_or_into(&mask, &mut dst);
-        assert_eq!(dst.iter_ones().collect::<Vec<_>>(), vec![1, 2, 70]);
-    }
-
-    #[test]
-    fn atomic_and_into_intersects() {
-        let dim = AtomicBitmap::zeros(64);
-        dim.set(2);
-        dim.set(9);
-        let mut dst = Bitmap::zeros(64);
-        dst.set(2);
-        dst.set(3);
-        dim.and_into(&mut dst);
-        assert_eq!(dst.iter_ones().collect::<Vec<_>>(), vec![2]);
+    fn atomic_load_into_matches_snapshot() {
+        let a = AtomicBitmap::zeros(130);
+        a.set(1);
+        a.set(70);
+        a.set(129);
+        let mut words = vec![u64::MAX; 7]; // pre-dirtied scratch
+        a.load_into(&mut words);
+        assert_eq!(words, a.snapshot().words());
     }
 
     #[test]

@@ -8,21 +8,21 @@
 //! whose bit survived.
 //!
 //! * [`bitmap`] — tuple/query correlation bitmaps (plain + atomic).
-//! * [`flat`] — the open-addressing dimension key table the shared joins
-//!   probe batch-at-a-time (re-exported from `qs_storage::flat`, its
-//!   shared home since group-slot resolution in `qs-engine` adopted it).
+//! * [`join`] — the dimension side of a shared hash-join: a read-only
+//!   multiply-shift key index, entry-major atomic query bits and the
+//!   one-pass probe/AND/compact step over a batch's query-bit column.
 //! * [`pipeline`] — the pipeline threads, online query admission, and the
 //!   per-query output streams.
 //! * [`stats`] — the GQP's book-keeping counters.
 
 pub mod bitmap;
+pub mod join;
 pub mod pipeline;
 pub mod shared_agg;
 pub mod stats;
 
 pub use bitmap::{AtomicBitmap, Bitmap};
-pub use qs_storage::flat;
-pub use qs_storage::FlatMap;
+pub use join::{DimJoin, KeyIndex};
 pub use pipeline::{CjoinCancel, CjoinError, CjoinPipeline, CjoinQuery, DimSpec, PipelineSpec};
 pub use shared_agg::{AggPlan, SharedAggregator};
 pub use stats::{CjoinMetrics, CjoinStats};

@@ -8,7 +8,7 @@
 //!            ┌────────┐   ┌──────┐        ┌──────┐   ┌─────────────┐
 //!  admit ──▶ │ preproc │──▶│ ⋈ D1 │──...──▶│ ⋈ Dk │──▶│ distributor │──▶ per-query
 //!            │ (circular│  └──────┘        └──────┘   └─────────────┘    outputs
-//!            │ fact scan)│  shared hash-joins (bitmap AND)
+//!            │ fact scan)│  shared hash-joins (query-bit AND)
 //!            └────────┘
 //! ```
 //!
@@ -16,15 +16,18 @@
 //!   page-at-a-time: the columns referenced by any active query are
 //!   decoded once per page into a column batch, every active query's
 //!   *compiled* fact predicate ([`CompiledPred`]) runs column-wise into a
-//!   per-query selection mask, and the masks are transposed into the
-//!   per-row query bitmaps the joins consume. A query is complete after
-//!   one full revolution from its admission point.
-//! * Each **shared hash-join** holds the dimension's hash table, with a
-//!   per-entry bitmap maintained online by admissions (bit q = the entry
-//!   satisfies query q's dimension predicate) and a per-stage *bypass
-//!   mask* (bit q = query q does not join this dimension). The join step
-//!   is `tuple_bm &= entry_bm | bypass`; tuples whose bitmap reaches zero
-//!   are dropped.
+//!   per-query selection mask, and the masks are transposed straight into
+//!   the batch's dense query-bit column ([`BitColumn`]:
+//!   `⌈max_queries/64⌉` words per surviving tuple, one `u64` vector per
+//!   batch). A query is complete after one full revolution from its
+//!   admission point.
+//! * Each **shared hash-join** ([`DimJoin`]) holds the dimension's
+//!   read-only multiply-shift key index, one entry-major atomic word
+//!   column of query bits maintained online by admissions (bit q = the
+//!   entry satisfies query q's dimension predicate) and a per-stage
+//!   *bypass mask* (bit q = query q does not join this dimension). The
+//!   join step is `tuple_bits &= entry_bits | bypass`, run in one pass per
+//!   batch that also drops the tuples whose bits reach zero.
 //! * The **distributor** materializes, for every surviving tuple and every
 //!   set bit, the query's joined row (fact columns, then its dimensions in
 //!   the query's join order) and streams pages into the query's output
@@ -36,15 +39,14 @@
 //! a query's output hub is installed downstream before its first tuple,
 //! and finished after its last.
 
-use crate::bitmap::{AtomicBitmap, Bitmap};
-use crate::flat::FlatMap;
+use crate::join::DimJoin;
 use crate::stats::{CjoinMetrics, CjoinStats};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use qs_engine::{BatchSource, ExecCtx, OutputHub, ShareMode, StageKind};
 use qs_plan::compiled::{iter_ones, mask_words};
 use qs_plan::{CompiledPred, Expr, PredScratch, StarQuery};
-use qs_storage::{Catalog, ColumnBatch, FactBatch, Page, PageBuilder, Schema, Table};
+use qs_storage::{BitColumn, Catalog, ColumnBatch, FactBatch, Page, PageBuilder, Schema, Table};
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -185,19 +187,23 @@ impl PipelineSpec {
     }
 }
 
-struct DimEntry {
-    row: Box<[u8]>,
-    bitmap: AtomicBitmap,
-}
-
 struct DimData {
     spec: DimSpec,
     schema: Arc<Schema>,
-    entries: Vec<DimEntry>,
-    /// Open-addressing key → entry-index table: the batched probe loop in
-    /// [`dim_stage_loop`] is a mix-hash plus a cache-linear scan per key.
-    by_key: FlatMap,
-    bypass: AtomicBitmap,
+    /// Encoded rows of the entries back-to-back at `row_size` stride
+    /// (entry `e` = [`Self::row`]`(e)`).
+    rows: Vec<u8>,
+    /// Key index, entry query bits and bypass mask of the shared join.
+    join: DimJoin,
+}
+
+impl DimData {
+    /// Encoded row bytes of entry `e`.
+    #[inline]
+    fn row(&self, e: usize) -> &[u8] {
+        let rs = self.schema.row_size();
+        &self.rows[e * rs..(e + 1) * rs]
+    }
 }
 
 /// Installed per query at the distributor.
@@ -376,32 +382,25 @@ impl CjoinPipeline {
                     d.dim_key, d.table
                 )));
             }
-            let mut entries = Vec::with_capacity(table.row_count());
-            let mut by_key = FlatMap::with_capacity(table.row_count());
+            let rs = schema.row_size();
+            let mut rows = Vec::with_capacity(table.row_count() * rs);
+            let mut keys = Vec::with_capacity(table.row_count());
             let mut cursor = qs_storage::CircularCursor::from_position(table.clone(), 0);
             let key_off = schema.offset(d.dim_key);
-            let mut encrow = Vec::with_capacity(schema.row_size());
             while let Some(page) = cursor.next_page(&ctx.pool)? {
                 // Rows are kept as encoded bytes (the join output slices
-                // them), so columnar pages re-encode through a scratch —
-                // same copy either way.
+                // them); columnar pages re-encode on the way in.
                 for r in 0..page.rows() {
-                    encrow.clear();
-                    page.encode_row_into(r, &mut encrow);
-                    let idx = entries.len() as u32;
-                    by_key.insert(qs_storage::row::read_i64_at(&encrow, key_off), idx);
-                    entries.push(DimEntry {
-                        row: encrow.clone().into_boxed_slice(),
-                        bitmap: AtomicBitmap::zeros(spec.max_queries),
-                    });
+                    let at = rows.len();
+                    page.encode_row_into(r, &mut rows);
+                    keys.push(qs_storage::row::read_i64_at(&rows[at..], key_off));
                 }
             }
             dims.push(DimData {
                 spec: d.clone(),
                 schema,
-                entries,
-                by_key,
-                bypass: AtomicBitmap::zeros(spec.max_queries),
+                rows,
+                join: DimJoin::new(&keys, spec.max_queries),
             });
         }
         let dims = Arc::new(dims);
@@ -563,9 +562,10 @@ impl CjoinPipeline {
             .pop()
             .ok_or(CjoinError::Saturated)?;
 
-        // Update dimension bitmaps and bypass masks *before* the query's
-        // bit can appear on any tuple (the admit control message below is
-        // what makes the preprocessor start setting it).
+        // Update dimension bits and bypass masks *before* the query's bit
+        // can appear on any tuple (the admit control message below is
+        // what makes the preprocessor start setting it; see the `join`
+        // module for why the stages' plain loads then see them).
         let mut evals = 0u64;
         let mut dedup_hits = 0u64;
         {
@@ -573,7 +573,7 @@ impl CjoinPipeline {
             for (idx, dim) in self.dims.iter().enumerate() {
                 match dim_order.iter().position(|&d| d == idx as u32) {
                     Some(pos) => {
-                        dim.bypass.write(slot as usize, false);
+                        dim.join.write_bypass(slot, false);
                         let pred = star.dims[pos].predicate.clone();
                         let key = pred_key(&pred);
                         // Predicate sharing: an *active* query with the
@@ -585,8 +585,8 @@ impl CjoinPipeline {
                             .map(|(_, s)| *s);
                         match source {
                             Some(src) if src != slot => {
-                                for e in &dim.entries {
-                                    e.bitmap.write(slot as usize, e.bitmap.get(src as usize));
+                                for e in 0..dim.join.entries() {
+                                    dim.join.write_entry(e, slot, dim.join.entry_bit(e, src));
                                 }
                                 dedup_hits += 1;
                             }
@@ -625,7 +625,7 @@ impl CjoinPipeline {
                         }
                     }
                     None => {
-                        dim.bypass.write(slot as usize, true);
+                        dim.join.write_bypass(slot, true);
                         // Entries' bits for this slot are irrelevant
                         // (bypass short-circuits).
                     }
@@ -746,27 +746,28 @@ const ADMIT_BATCH_ROWS: usize = 4096;
 /// instead of tree-walking `Expr::eval` per entry. Returns the number of
 /// entry evaluations performed (the admission-cost metric).
 fn admission_scan(dim: &DimData, pred: &Option<Expr>, slot: u32) -> u64 {
-    let slot = slot as usize;
+    let n = dim.join.entries();
     let Some(pred) = pred else {
-        for e in &dim.entries {
-            e.bitmap.write(slot, true);
+        for e in 0..n {
+            dim.join.write_entry(e, slot, true);
         }
-        return dim.entries.len() as u64;
+        return n as u64;
     };
     let compiled = CompiledPred::compile(pred, &dim.schema);
     let mut scratch = PredScratch::new();
     let mut mask: Vec<u64> = Vec::new();
-    let mut slices: Vec<&[u8]> = Vec::with_capacity(ADMIT_BATCH_ROWS.min(dim.entries.len()));
-    for chunk in dim.entries.chunks(ADMIT_BATCH_ROWS) {
+    let mut slices: Vec<&[u8]> = Vec::with_capacity(ADMIT_BATCH_ROWS.min(n));
+    for start in (0..n).step_by(ADMIT_BATCH_ROWS) {
+        let end = (start + ADMIT_BATCH_ROWS).min(n);
         slices.clear();
-        slices.extend(chunk.iter().map(|e| &*e.row));
+        slices.extend((start..end).map(|e| dim.row(e)));
         let batch = ColumnBatch::from_rows(&dim.schema, &slices, compiled.columns());
         compiled.eval_batch(&batch, &mut scratch, &mut mask);
-        for (i, e) in chunk.iter().enumerate() {
-            e.bitmap.write(slot, mask[i / 64] & (1u64 << (i % 64)) != 0);
+        for (i, e) in (start..end).enumerate() {
+            dim.join.write_entry(e, slot, mask[i / 64] & (1u64 << (i % 64)) != 0);
         }
     }
-    dim.entries.len() as u64
+    n as u64
 }
 
 // ---------------------------------------------------------------------
@@ -794,12 +795,13 @@ struct ChunkJob {
     /// Union of the columns referenced by any active predicate — the set
     /// the batch decodes once for all queries.
     cols: Arc<Vec<usize>>,
-    max_queries: usize,
+    /// Query-bit words per tuple: `⌈max_queries/64⌉`.
+    words: usize,
 }
 
 /// Reusable buffers for [`eval_chunk`], held per worker thread so
 /// steady-state chunk evaluation allocates only the outgoing
-/// rows/bitmaps vectors.
+/// rows/bits vectors.
 #[derive(Default)]
 struct ChunkScratch {
     pred: PredScratch,
@@ -815,13 +817,13 @@ struct ChunkScratch {
 
 /// Page-at-a-time preprocessor step: decode the referenced columns of the
 /// chunk once, run every active query's compiled predicate column-wise
-/// into a per-query selection mask, then transpose the masks into the
-/// per-row query bitmaps the shared joins consume. Dead rows (no query
-/// bit set) never materialize a bitmap.
-fn eval_chunk(job: &ChunkJob, scratch: &mut ChunkScratch) -> (Vec<u32>, Vec<Bitmap>, Vec<u32>) {
+/// into a per-query selection mask, then transpose the masks straight
+/// into the query-bit column the shared joins consume. Dead rows (no
+/// query bit set) get no words.
+fn eval_chunk(job: &ChunkJob, scratch: &mut ChunkScratch) -> (Vec<u32>, BitColumn, Vec<u32>) {
     let n = job.range.len();
     if n == 0 {
-        return (Vec::new(), Vec::new(), Vec::new());
+        return (Vec::new(), BitColumn::zeros(job.words, 0), Vec::new());
     }
     let words = mask_words(n);
     let nq = job.preds.len();
@@ -867,24 +869,23 @@ fn eval_chunk(job: &ChunkJob, scratch: &mut ChunkScratch) -> (Vec<u32>, Vec<Bitm
     }
 
     // Survivors: rows at least one query wants.
-    let mut rows: Vec<u32> = Vec::new();
+    let survivors = scratch.any.iter().map(|w| w.count_ones() as usize).sum();
+    let mut rows: Vec<u32> = Vec::with_capacity(survivors);
     scratch.sel_index.clear();
     scratch.sel_index.resize(n, u32::MAX);
     for i in iter_ones(&scratch.any) {
         scratch.sel_index[i] = rows.len() as u32;
         rows.push((job.range.start + i) as u32);
     }
-    // Transpose the per-query masks into per-row bitmaps. The bitmaps are
-    // inline (≤ 2 words) for the default 64-slot pipeline, so this mints
-    // no per-tuple heap allocations.
-    let mut bitmaps: Vec<Bitmap> = vec![Bitmap::zeros(job.max_queries); rows.len()];
+    // Transpose the per-query masks into the survivors' query bits.
+    let mut bits = BitColumn::zeros(job.words, rows.len());
     for (qi, (slot, _)) in job.preds.iter().enumerate() {
         let m = &scratch.masks[qi * words..(qi + 1) * words];
         for i in iter_ones(m) {
-            bitmaps[scratch.sel_index[i] as usize].set(*slot as usize);
+            bits.set(scratch.sel_index[i] as usize, *slot as usize);
         }
     }
-    (rows, bitmaps, poisoned)
+    (rows, bits, poisoned)
 }
 
 /// Stage-channel failpoints, injected where a stage hands a batch to the
@@ -910,18 +911,16 @@ fn chan_fault() -> Result<(), String> {
     chan_fault_at("cjoin.chan.delay", "cjoin.chan.abort")
 }
 
-/// The queries named by any per-tuple bitmap of `batch` — exactly the
-/// set whose rows a lost batch would silently drop. Sorted, deduped.
+/// The queries whose bit any tuple of `batch` carries — exactly the set
+/// whose rows a lost batch would silently drop. Ascending.
 fn affected_slots(batch: &Batch) -> Vec<u32> {
-    let mut slots: Vec<u32> = batch
+    batch
         .fact
-        .bitmaps()
-        .iter()
-        .flat_map(|bm| bm.iter_ones().map(|q| q as u32))
-        .collect();
-    slots.sort_unstable();
-    slots.dedup();
-    slots
+        .bits()
+        .union()
+        .iter_ones()
+        .map(|q| q as u32)
+        .collect()
 }
 
 fn preprocessor_loop(
@@ -942,10 +941,12 @@ fn preprocessor_loop(
     // after `pos` already issued.
     let window = ctx.pool.read_ahead_window().min(pages.saturating_sub(1));
     let mut ahead = 0usize;
+    let words = mask_words(max_queries).max(1);
     let mut inline_scratch = ChunkScratch::default();
     // Per-chunk scratch and result slots for the pooled parallel path,
-    // reused across pages: surviving rows, their bitmaps, eval counts.
-    type ChunkResult = (Vec<u32>, Vec<Bitmap>, Vec<u32>);
+    // reused across pages: surviving rows, their query bits, poisoned
+    // query slots.
+    type ChunkResult = (Vec<u32>, BitColumn, Vec<u32>);
     let mut chunk_scratch: Vec<ChunkScratch> = Vec::new();
     let mut chunk_out: Vec<Option<ChunkResult>> = Vec::new();
     // Predicate snapshot shared with the worker pool, plus the union of
@@ -1081,7 +1082,7 @@ fn preprocessor_loop(
         let parallel = ctx.workers.workers() > 1 && n_rows * active.len() >= 512;
         let mut page_poisoned = false;
         let mut poisoned_slots: Vec<u32> = Vec::new();
-        let (mut rows, mut bitmaps) = if parallel {
+        let (rows, bits) = if parallel {
             // Chunked across the shared morsel pool: one task per chunk,
             // each with its own reused scratch and result slot. The pool
             // contains per-task panics (a panic outside any predicate,
@@ -1109,7 +1110,7 @@ fn preprocessor_loop(
                         range: start..(start + step).min(n_rows),
                         preds: preds.clone(),
                         cols: cols.clone(),
-                        max_queries,
+                        words,
                     };
                     tasks.push(Box::new(move || {
                         *slot_out = Some(eval_chunk(&job, scratch));
@@ -1119,23 +1120,26 @@ fn preprocessor_loop(
             });
             match run {
                 Ok(()) => {
-                    let mut rows = Vec::with_capacity(n_rows);
-                    let mut bitmaps = Vec::with_capacity(n_rows);
-                    for part in chunk_out.iter_mut() {
-                        let (r, b, mut p) =
-                            part.take().expect("clean pool run fills every chunk");
+                    let parts: Vec<ChunkResult> = chunk_out
+                        .iter_mut()
+                        .map(|part| part.take().expect("clean pool run fills every chunk"))
+                        .collect();
+                    let survivors = parts.iter().map(|(r, _, _)| r.len()).sum();
+                    let mut rows = Vec::with_capacity(survivors);
+                    let mut bits = BitColumn::with_capacity(words, survivors);
+                    for (r, b, mut p) in parts {
                         rows.extend(r);
-                        bitmaps.extend(b);
+                        bits.extend(&b);
                         poisoned_slots.append(&mut p);
                     }
-                    (rows, bitmaps)
+                    (rows, bits)
                 }
                 Err(_) => {
                     // A task panicked (or hit the pool failpoint) —
                     // scratches may hold mid-unwind state; rebuild them.
                     chunk_scratch.clear();
                     page_poisoned = true;
-                    (Vec::new(), Vec::new())
+                    (Vec::new(), BitColumn::default())
                 }
             }
         } else {
@@ -1147,22 +1151,22 @@ fn preprocessor_loop(
                             range: 0..n_rows,
                             preds: preds.clone(),
                             cols: cols.clone(),
-                            max_queries,
+                            words,
                         },
                         &mut inline_scratch,
                     )
                 })
             }));
             match inline {
-                Ok((rows, bitmaps, poisoned)) => {
+                Ok((rows, bits, poisoned)) => {
                     poisoned_slots = poisoned;
-                    (rows, bitmaps)
+                    (rows, bits)
                 }
                 Err(_) => {
                     ctx.metrics.panics_contained.fetch_add(1, Ordering::Relaxed);
                     inline_scratch = ChunkScratch::default();
                     page_poisoned = true;
-                    (Vec::new(), Vec::new())
+                    (Vec::new(), BitColumn::default())
                 }
             }
         };
@@ -1179,8 +1183,6 @@ fn preprocessor_loop(
             snapshot = None;
             continue;
         }
-        rows.shrink_to_fit();
-        bitmaps.shrink_to_fit();
         // Failpoint on the stage channel: an injected send failure is a
         // lost batch — like a poisoned page, it must abort every query
         // whose revolution spans it, never silently drop their rows.
@@ -1199,7 +1201,7 @@ fn preprocessor_loop(
             .fetch_add(rows.len() as u64, Ordering::Relaxed);
         if out
             .send(Msg::Batch(Batch {
-                fact: FactBatch::new(page, rows, bitmaps),
+                fact: FactBatch::with_bits(page, rows, bits),
                 dim_hits: Vec::new(),
             }))
             .is_err()
@@ -1348,10 +1350,11 @@ fn dim_stage_loop(
     ctl_tx: Sender<Ctl>,
 ) {
     let dim = &dims[dim_idx];
-    // Join-key scratch, reused across batches: the key column of the
-    // surviving tuples is gathered once per batch into a typed slice and
-    // the hash map is probed in a tight loop — no per-tuple row views.
+    // Scratch reused across batches: the key column of the surviving
+    // tuples, gathered once per batch into a typed slice, and the bypass
+    // words, loaded once per batch.
     let mut keys: Vec<i64> = Vec::new();
+    let mut bypass: Vec<u64> = Vec::new();
     while let Ok(msg) = in_rx.recv() {
         match msg {
             Msg::Batch(mut batch) => {
@@ -1378,46 +1381,18 @@ fn dim_stage_loop(
                     continue;
                 }
                 let before = batch.fact.len();
-                let mut hits: Vec<u32> = vec![u32::MAX; before];
-                let mut keep: Vec<bool> = vec![false; before];
-                ctx.governor.run(|| {
+                // Probe, AND, test and compact in one pass; earlier
+                // stages' hit columns compact alongside.
+                let hits = ctx.governor.run(|| {
                     batch.fact.gather_i64_into(dim.spec.fact_key, &mut keys);
-                    let bitmaps = batch.fact.bitmaps_mut();
-                    for (t, &key) in keys.iter().enumerate() {
-                        match dim.by_key.get(key) {
-                            Some(eidx) => {
-                                let e = &dim.entries[eidx as usize];
-                                e.bitmap.and_or_into(&dim.bypass, &mut bitmaps[t]);
-                                hits[t] = eidx;
-                            }
-                            None => {
-                                dim.bypass.and_into(&mut bitmaps[t]);
-                            }
-                        }
-                        keep[t] = bitmaps[t].any();
-                    }
+                    dim.join
+                        .probe(&keys, &mut batch.fact, &mut batch.dim_hits, &mut bypass)
                 });
-                // Compact the batch, dropping dead tuples.
-                let survivors = keep.iter().filter(|&&k| k).count();
-                if survivors < before {
+                let dropped = before - batch.fact.len();
+                if dropped > 0 {
                     metrics
                         .tuples_dropped
-                        .fetch_add((before - survivors) as u64, Ordering::Relaxed);
-                    batch.fact.retain(&keep);
-                    for col in &mut batch.dim_hits {
-                        let mut idx = 0usize;
-                        col.retain(|_| {
-                            let k = keep[idx];
-                            idx += 1;
-                            k
-                        });
-                    }
-                    let mut idx = 0usize;
-                    hits.retain(|_| {
-                        let k = keep[idx];
-                        idx += 1;
-                        k
-                    });
+                        .fetch_add(dropped as u64, Ordering::Relaxed);
                 }
                 batch.dim_hits.push(hits);
                 if !batch.fact.is_empty() && out.send(Msg::Batch(batch)).is_err() {
@@ -1564,12 +1539,13 @@ fn distributor_step(
             }
             let mut flushes: Vec<(u32, Arc<Page>)> = Vec::new();
             ctx.governor.run(|| {
-                for (t, bm) in batch.fact.bitmaps().iter().enumerate() {
+                let bits = batch.fact.bits();
+                for t in 0..batch.fact.len() {
                     // Fact bytes were gathered once per batch at
                     // fan-out; the per-(tuple × query) loop only
                     // concatenates slices.
                     let fact_bytes = batch.fact.row_bytes(t);
-                    for q in bm.iter_ones() {
+                    for q in iter_ones(bits.tuple(t)) {
                         let Some(out) = outputs.get_mut(&(q as u32)) else {
                             continue;
                         };
@@ -1582,9 +1558,7 @@ fn distributor_step(
                                 u32::MAX,
                                 "query joined this dim, so it must have matched"
                             );
-                            rowbuf.extend_from_slice(
-                                &dims[d as usize].entries[eidx as usize].row,
-                            );
+                            rowbuf.extend_from_slice(dims[d as usize].row(eidx as usize));
                         }
                         debug_assert_eq!(rowbuf.len(), out.out_schema.row_size());
                         if !out.builder.push_encoded(rowbuf) {

@@ -31,7 +31,7 @@ use qs_engine::group::{GroupTable, ParallelScratch};
 use qs_engine::kernels::{update_grouped, update_masked, AccVec, AggKernel};
 use qs_engine::WorkerPool;
 use qs_plan::AggSpec;
-use qs_storage::{mask_words, ColumnBatch, FactBatch, Page, Schema, Value};
+use qs_storage::{mask_words, BitColumn, ColumnBatch, FactBatch, Page, Schema, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -101,6 +101,8 @@ pub struct SharedAggregator {
     agg_cols: Vec<usize>,
     /// Selection scratch: batch rows with any query bit set.
     sel_scratch: Vec<u32>,
+    /// Query bits of the rows in `sel_scratch`.
+    bits_scratch: BitColumn,
     /// Morsel pool for parallel class-level group resolution; `None` =
     /// resolve sequentially (the historical behavior).
     workers: Option<Arc<WorkerPool>>,
@@ -119,6 +121,7 @@ impl SharedAggregator {
             by_slot: HashMap::new(),
             agg_cols: Vec::new(),
             sel_scratch: Vec::new(),
+            bits_scratch: BitColumn::default(),
             workers: None,
             tuples_seen: 0,
             updates_applied: 0,
@@ -224,33 +227,35 @@ impl SharedAggregator {
         self.updates_applied
     }
 
-    /// Fold one annotated page: `bitmaps[i]` is the surviving bitmap of
-    /// row `i`.
-    pub fn push_page(&mut self, page: &Page, bitmaps: &[Bitmap]) {
-        debug_assert_eq!(page.rows(), bitmaps.len());
+    /// Fold one annotated page: tuple `i` of `bits` holds the surviving
+    /// query bits of row `i`.
+    pub fn push_page(&mut self, page: &Page, bits: &BitColumn) {
+        debug_assert_eq!(page.rows(), bits.len());
         let mut sel = std::mem::take(&mut self.sel_scratch);
+        let mut live = std::mem::take(&mut self.bits_scratch);
         sel.clear();
-        let mut bms: Vec<&Bitmap> = Vec::with_capacity(bitmaps.len());
-        for (i, bm) in bitmaps.iter().enumerate() {
-            if bm.any() {
+        live.reset(bits.words());
+        for i in 0..bits.len() {
+            let words = bits.tuple(i);
+            if words.iter().any(|&w| w != 0) {
                 sel.push(i as u32);
-                bms.push(bm);
+                live.push(words);
             }
         }
-        self.fold(page, &sel, &bms);
+        self.fold(page, &sel, &live);
         self.sel_scratch = sel;
+        self.bits_scratch = live;
     }
 
     /// Fold a [`FactBatch`] — the post-predicate batch representation the
     /// CJOIN pipeline carries — without re-deriving the selection.
     pub fn push_batch(&mut self, batch: &FactBatch) {
-        let bms: Vec<&Bitmap> = batch.bitmaps().iter().collect();
-        self.fold(batch.page(), batch.sel(), &bms);
+        self.fold(batch.page(), batch.sel(), batch.bits());
     }
 
     /// Batch core: `sel` are the page rows with any query bit set and
-    /// `bms[i]` annotates page row `sel[i]`.
-    fn fold(&mut self, page: &Page, sel: &[u32], bms: &[&Bitmap]) {
+    /// tuple `i` of `bits` annotates page row `sel[i]`.
+    fn fold(&mut self, page: &Page, sel: &[u32], bits: &BitColumn) {
         if sel.is_empty() {
             return;
         }
@@ -269,12 +274,14 @@ impl SharedAggregator {
             // batch-at-a-time to dense slots in the shared registry.
             class.rel_rows.clear();
             class.rel_pagerows.clear();
-            for (bi, bm) in bms.iter().enumerate() {
-                if !bm.intersects(&class.member_mask) {
+            let member = class.member_mask.words();
+            for (bi, &row) in sel.iter().enumerate() {
+                let relevant = bits.tuple(bi).iter().zip(member).any(|(a, m)| a & m != 0);
+                if !relevant {
                     continue;
                 }
                 class.rel_rows.push(bi as u32);
-                class.rel_pagerows.push(sel[bi]);
+                class.rel_pagerows.push(row);
             }
             if class.rel_rows.is_empty() {
                 continue;
@@ -311,7 +318,7 @@ impl SharedAggregator {
                     state.mask_scratch.resize(mask_words(batch.rows()), 0);
                     let mut routed = 0u64;
                     for &bi in &class.rel_rows {
-                        if bms[bi as usize].get(state.slot as usize) {
+                        if bits.get(bi as usize, state.slot as usize) {
                             state.mask_scratch[bi as usize / 64] |= 1u64 << (bi % 64);
                             routed += 1;
                         }
@@ -332,7 +339,7 @@ impl SharedAggregator {
                         state.touched.resize(ngroups, false);
                     }
                     for (&bi, &g) in class.rel_rows.iter().zip(&class.rel_groups) {
-                        if !bms[bi as usize].get(state.slot as usize) {
+                        if !bits.get(bi as usize, state.slot as usize) {
                             continue;
                         }
                         state.rows_scratch.push(bi);
@@ -496,7 +503,7 @@ mod tests {
         );
         let p = page(&[(1, 10, 0.5), (2, 20, 1.5), (1, 30, 2.5)]);
         let bms: Vec<Bitmap> = (0..3).map(|_| bm(4, &[0])).collect();
-        agg.push_page(&p, &bms);
+        agg.push_page(&p, &BitColumn::from_bitmaps(&bms));
         let rows = agg.finish(0).unwrap();
         assert_eq!(
             rows,
@@ -522,7 +529,7 @@ mod tests {
         let p = page(&[(1, 1, 0.0), (2, 2, 0.0), (3, 3, 0.0)]);
         // Row 0 → both; row 1 → only q0; row 2 → only q1.
         let bms = vec![bm(4, &[0, 1]), bm(4, &[0]), bm(4, &[1])];
-        agg.push_page(&p, &bms);
+        agg.push_page(&p, &BitColumn::from_bitmaps(&bms));
         assert_eq!(agg.finish(0).unwrap(), vec![vec![Value::Int(2)]]);
         assert_eq!(agg.finish(1).unwrap(), vec![vec![Value::Int(2)]]);
     }
@@ -568,7 +575,7 @@ mod tests {
         );
         let p = page(&[(1, 1, 0.0), (2, 2, 0.0)]);
         let bms = vec![bm(4, &[]), bm(4, &[0])];
-        agg.push_page(&p, &bms);
+        agg.push_page(&p, &BitColumn::from_bitmaps(&bms));
         assert_eq!(agg.tuples_seen(), 1);
         assert_eq!(agg.finish(0).unwrap(), vec![vec![Value::Int(1)]]);
     }
@@ -612,7 +619,7 @@ mod tests {
                 aggs: vec![AggSpec::new(AggFunc::Count, "n")],
             },
         );
-        agg.push_page(&p, &[bm(1, &[0])]);
+        agg.push_page(&p, &BitColumn::from_bitmaps(&[bm(1, &[0])]));
         assert_eq!(
             agg.finish(0).unwrap(),
             vec![vec![
@@ -637,7 +644,7 @@ mod tests {
             );
         }
         let p = page(&[(1, 1, 0.0)]);
-        agg.push_page(&p, &[bm(4, &[0, 2])]);
+        agg.push_page(&p, &BitColumn::from_bitmaps(&[bm(4, &[0, 2])]));
         assert_eq!(agg.tuples_seen(), 1);
         assert_eq!(agg.updates_applied(), 2);
     }
@@ -657,12 +664,12 @@ mod tests {
         let mut via_page = SharedAggregator::new(schema());
         via_page.register(0, plan());
         via_page.register(1, plan());
-        via_page.push_page(&p, &bitmaps);
+        via_page.push_page(&p, &BitColumn::from_bitmaps(&bitmaps));
 
         // The FactBatch form pre-drops dead tuples (as the pipeline does).
         let sel: Vec<u32> = vec![0, 2, 3];
         let bms: Vec<Bitmap> = sel.iter().map(|&i| bitmaps[i as usize].clone()).collect();
-        let fact = FactBatch::new(p.clone(), sel, bms);
+        let fact = FactBatch::with_bits(p.clone(), sel, BitColumn::from_bitmaps(&bms));
         let mut via_batch = SharedAggregator::new(schema());
         via_batch.register(0, plan());
         via_batch.register(1, plan());
@@ -683,15 +690,15 @@ mod tests {
         agg.register(0, plan());
         agg.register(1, plan());
         let p = page(&[(1, 1, 0.0)]);
-        agg.push_page(&p, &[bm(4, &[0, 1])]);
+        agg.push_page(&p, &BitColumn::from_bitmaps(&[bm(4, &[0, 1])]));
         assert_eq!(
             agg.finish(0).unwrap(),
             vec![vec![Value::Int(1), Value::Int(1)]]
         );
         // Tuples still carrying the finished slot's bit must not reach
         // its retired state; the surviving query keeps accumulating.
-        agg.push_page(&p, &[bm(4, &[0, 1])]);
-        agg.push_page(&p, &[bm(4, &[1])]);
+        agg.push_page(&p, &BitColumn::from_bitmaps(&[bm(4, &[0, 1])]));
+        agg.push_page(&p, &BitColumn::from_bitmaps(&[bm(4, &[1])]));
         assert_eq!(
             agg.finish(1).unwrap(),
             vec![vec![Value::Int(1), Value::Int(3)]]
@@ -713,7 +720,7 @@ mod tests {
         // Row 1 carries only an unregistered query's bit: it must not
         // reach slot 70's accumulators.
         let bms = vec![bm(128, &[70]), bm(128, &[3]), bm(128, &[70, 3])];
-        agg.push_page(&p, &bms);
+        agg.push_page(&p, &BitColumn::from_bitmaps(&bms));
         assert_eq!(
             agg.finish(70).unwrap(),
             vec![

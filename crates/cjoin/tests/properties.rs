@@ -231,9 +231,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The open-addressing dimension key table (`qs_cjoin::FlatMap`, the
-    /// probe table of `dim_stage_loop`) behaves exactly like the
-    /// `HashMap<i64, u32>` it replaced: same last-wins insert semantics,
+    /// The open-addressing `qs_storage::FlatMap` (group-slot
+    /// resolution's table) behaves exactly like the `HashMap<i64, u32>`
+    /// it replaced: same last-wins insert semantics,
     /// same lookups for present and absent keys, same length — on
     /// arbitrary insert sequences with duplicate and adversarial keys.
     #[test]
@@ -242,7 +242,7 @@ proptest! {
         probes in prop::collection::vec(any::<i64>(), 0..100),
         cap_hint in 0usize..64,
     ) {
-        let mut flat = qs_cjoin::FlatMap::with_capacity(cap_hint);
+        let mut flat = qs_storage::FlatMap::with_capacity(cap_hint);
         let mut oracle: std::collections::HashMap<i64, u32> =
             std::collections::HashMap::new();
         for &(k, v) in &inserts {
@@ -271,7 +271,7 @@ proptest! {
         stride in prop_oneof![Just(1i64), Just(2), Just(64), Just(4096)],
         base in -1000i64..1000,
     ) {
-        let mut flat = qs_cjoin::FlatMap::with_capacity(n);
+        let mut flat = qs_storage::FlatMap::with_capacity(n);
         for i in 0..n {
             flat.insert(base + i as i64 * stride, i as u32);
         }
@@ -281,5 +281,63 @@ proptest! {
         }
         prop_assert_eq!(flat.get(base - stride), None);
         prop_assert_eq!(flat.get(base + n as i64 * stride), None);
+    }
+}
+
+/// Join-key shapes the dimension index must resolve: the `i64` extremes,
+/// negative keys, sparse `yyyymmdd` calendar keys and multiples of `2^k`
+/// (whose low bits are all zero — fatal to a hash that keeps low bits),
+/// plus arbitrary keys.
+fn dim_key() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        prop_oneof![Just(i64::MIN), Just(i64::MAX), Just(0i64), Just(-1i64)],
+        -1_000_000i64..0,
+        (1992i64..1999, 1i64..13, 1i64..32).prop_map(|(y, m, d)| y * 10_000 + m * 100 + d),
+        (-4096i64..4096, 0u32..63).prop_map(|(x, k)| x.wrapping_shl(k)),
+        any::<i64>(),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The shared joins' read-only key index (`qs_cjoin::KeyIndex`,
+    /// multiply-shift at load ≤ ½) resolves every key like a
+    /// `HashMap<i64, u32>` built by last-wins inserts of `key → entry`:
+    /// duplicates map to their last entry, absent keys to `None`.
+    #[test]
+    fn key_index_matches_hashmap_oracle(
+        keys in prop::collection::vec(dim_key(), 0..600),
+        probes in prop::collection::vec(dim_key(), 0..200),
+    ) {
+        let index = qs_cjoin::KeyIndex::new(&keys);
+        let mut oracle: std::collections::HashMap<i64, u32> =
+            std::collections::HashMap::new();
+        for (entry, &k) in keys.iter().enumerate() {
+            oracle.insert(k, entry as u32);
+        }
+        for (&k, &entry) in &oracle {
+            prop_assert_eq!(index.get(k), Some(entry), "key {}", k);
+        }
+        for &k in &probes {
+            prop_assert_eq!(index.get(k), oracle.get(&k).copied(), "probe {}", k);
+        }
+    }
+
+    /// Dense runs of multiples of `2^k` (consecutive surrogates at
+    /// `k = 0`) all resolve, and the keys just outside the run miss.
+    #[test]
+    fn key_index_resolves_dense_runs(
+        n in 1usize..3000,
+        k in 0u32..48,
+        base in -1000i64..1000,
+    ) {
+        let keys: Vec<i64> = (0..n as i64).map(|i| (base + i) << k).collect();
+        let index = qs_cjoin::KeyIndex::new(&keys);
+        for (entry, &key) in keys.iter().enumerate() {
+            prop_assert_eq!(index.get(key), Some(entry as u32));
+        }
+        prop_assert_eq!(index.get((base - 1) << k), None);
+        prop_assert_eq!(index.get((base + n as i64) << k), None);
     }
 }

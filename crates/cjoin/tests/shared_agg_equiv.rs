@@ -18,7 +18,7 @@ use qs_cjoin::{AggPlan, SharedAggregator};
 use qs_engine::agg::{finalize_acc, make_acc, update_acc, Acc};
 use qs_engine::group::{GroupTable, GroupTier};
 use qs_plan::{AggFunc, AggSpec};
-use qs_storage::{DataType, FactBatch, Page, Schema, Value};
+use qs_storage::{BitColumn, DataType, FactBatch, Page, Schema, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -243,7 +243,7 @@ fn class_sharing_results_match_reference_fold() {
     for p in 0..6usize {
         let page = page(p as i64, 48);
         let bms = bitmaps(p, 48, &slots);
-        agg.push_page(&page, &bms);
+        agg.push_page(&page, &BitColumn::from_bitmaps(&bms));
         for r in &mut refs {
             r.push(&page, &bms);
         }
@@ -270,7 +270,7 @@ fn push_batch_and_mid_stream_finish_survive_swap() {
     }
 
     // First half of the stream arrives as FactBatches (the pipeline's
-    // own currency): dead rows pre-dropped, bitmaps parallel to sel.
+    // own currency): dead rows pre-dropped, query bits parallel to sel.
     for p in 0..3usize {
         let page = page(p as i64, 48);
         let bms = bitmaps(p, 48, &slots);
@@ -278,7 +278,7 @@ fn push_batch_and_mid_stream_finish_survive_swap() {
             (0..48u32).filter(|&i| bms[i as usize].any()).collect();
         let kept: Vec<Bitmap> =
             sel.iter().map(|&i| bms[i as usize].clone()).collect();
-        let fb = FactBatch::new(page.clone(), sel, kept);
+        let fb = FactBatch::with_bits(page.clone(), sel, BitColumn::from_bitmaps(&kept));
         agg.push_batch(&fb);
         for r in &mut refs {
             r.push(&page, &bms);
@@ -299,7 +299,7 @@ fn push_batch_and_mid_stream_finish_survive_swap() {
     for p in 3..6usize {
         let page = page(p as i64, 48);
         let bms = bitmaps(p, 48, &slots);
-        agg.push_page(&page, &bms);
+        agg.push_page(&page, &BitColumn::from_bitmaps(&bms));
         for r in &mut refs {
             r.push(&page, &bms);
         }

@@ -496,9 +496,13 @@ impl SharingDb {
 
     /// Submit a coordinated batch (the demo's batching knob): for the
     /// QPipe modes the whole batch is built before execution starts
-    /// (maximal SP window); for the GQP modes, batched admission
-    /// amortizes admission costs because all queries ride the same
-    /// revolution.
+    /// (maximal SP window). For the GQP modes the plans are admitted one
+    /// after another while the fact scan keeps running, so each query
+    /// starts its revolution on whatever page the scan has reached — the
+    /// batch's revolutions are staggered, not aligned. What the batch
+    /// buys there is sharing: output hubs stay pinned until every plan is
+    /// submitted, so identical CJOIN sub-plans in the batch ride one
+    /// admission.
     pub fn submit_batch(&self, plans: &[LogicalPlan]) -> Result<Vec<QueryTicket>, EngineError> {
         self.submit_batch_with(plans, &QueryOpts::default())
     }

@@ -846,7 +846,7 @@ mod tests {
             (1, 0, "a", "w", 0),
             (3, 0, "a", "w", 0),
         ]));
-        let fb = FactBatch::new(p, vec![1, 3], Vec::new());
+        let fb = FactBatch::new(p, vec![1, 3]);
         let mut t = GroupTable::compile(&[0], &schema());
         let mut slots = Vec::new();
         t.resolve_batch(&fb, &mut slots);

@@ -409,11 +409,7 @@ fn run_scan(
                     }
                 } else if !slot.sel.is_empty() {
                     emit.push(
-                        FactBatch::new(
-                            page.clone(),
-                            std::mem::take(&mut slot.sel),
-                            Vec::new(),
-                        ),
+                        FactBatch::new(page.clone(), std::mem::take(&mut slot.sel)),
                         hub,
                     )?;
                 }
@@ -480,7 +476,7 @@ fn run_scan(
         if spans.is_none() {
             if !sel.is_empty() {
                 emit.push(
-                    FactBatch::new(page, std::mem::take(&mut sel), Vec::new()),
+                    FactBatch::new(page, std::mem::take(&mut sel)),
                     hub,
                 )?;
             }
@@ -529,7 +525,7 @@ fn run_filter(
         });
         if !sel.is_empty() {
             emit.push(
-                FactBatch::new(batch.page().clone(), std::mem::take(&mut sel), Vec::new()),
+                FactBatch::new(batch.page().clone(), std::mem::take(&mut sel)),
                 hub,
             )?;
         }

@@ -246,7 +246,7 @@ proptest! {
         let page = Arc::new(page);
         let sel: Vec<u32> =
             (0..page.rows() as u32).filter(|&r| keep[r as usize]).collect();
-        let fb = FactBatch::new(page.clone(), sel.clone(), Vec::new());
+        let fb = FactBatch::new(page.clone(), sel.clone());
 
         let mut via_batch = GroupTable::compile(&shape.group_by, page.schema());
         let mut a = Vec::new();

@@ -23,14 +23,14 @@
 //! per row.
 //!
 //! [`FactBatch`] is the owned, channel-crossing sibling: the unit of
-//! post-predicate dataflow (page + surviving-row selection + per-tuple
-//! query bitmaps). Because a `ColumnBatch` borrows its page, a
+//! post-predicate dataflow (page + surviving-row selection + a dense
+//! per-tuple query-bit column). Because a `ColumnBatch` borrows its page, a
 //! `FactBatch` carries the page by `Arc` and *gathers* decoded column
 //! views ([`FactBatch::columns`], [`FactBatch::gather_i64_into`]) and
 //! materialized row bytes ([`FactBatch::materialize_rows`]) once per
 //! batch for whichever stage needs them.
 
-use crate::bitmap::Bitmap;
+use crate::bitmap::BitColumn;
 use crate::page::{ColumnArray, Page};
 use crate::row::{read_date_at, read_f64_at, read_i64_at, trim_char};
 use crate::schema::Schema;
@@ -480,7 +480,7 @@ impl<'a> ColumnBatch<'a> {
 }
 
 /// The unit of post-predicate dataflow: the surviving tuples of one
-/// page, as (selection vector, optional per-tuple query bitmaps) over the
+/// page, as (selection vector, optional query-bit column) over the
 /// shared page — the packet type of both the CJOIN pipeline and the QPipe
 /// engine's inter-operator channels.
 ///
@@ -502,35 +502,42 @@ impl<'a> ColumnBatch<'a> {
 ///
 /// The page travels by `Arc`, so a `FactBatch` is `Send` and crosses
 /// pipeline channels; decoded views borrow the batch locally. The CJOIN
-/// side annotates tuples with query bitmaps; engine batches leave
-/// `bitmaps` empty (no per-tuple sharing metadata).
+/// side annotates tuples with query bits ([`BitColumn`], one dense `u64`
+/// column parallel to the selection); engine batches carry a zero-width
+/// column (no per-tuple sharing metadata).
 #[derive(Debug)]
 pub struct FactBatch {
     page: Arc<Page>,
     /// Page row indices of surviving tuples, strictly ascending.
     sel: Vec<u32>,
-    /// Per-tuple query bitmaps, parallel to `sel` — or empty when the
-    /// batch carries no per-tuple annotations (QPipe engine packets).
-    bitmaps: Vec<Bitmap>,
+    /// Per-tuple query bits, parallel to `sel` — or zero words wide when
+    /// the batch carries no per-tuple annotations (QPipe engine packets).
+    bits: BitColumn,
     /// Encoded row bytes of the selected tuples, gathered back-to-back at
     /// `row_size` stride. Empty until [`Self::materialize_rows`].
     rows: Vec<u8>,
 }
 
 impl FactBatch {
-    /// Wrap the surviving tuples of `page`. `bitmaps[i]` annotates page
-    /// row `sel[i]`; an empty `bitmaps` means "no per-tuple annotations".
-    pub fn new(page: Arc<Page>, sel: Vec<u32>, bitmaps: Vec<Bitmap>) -> FactBatch {
-        debug_assert!(bitmaps.is_empty() || sel.len() == bitmaps.len());
+    /// Wrap the surviving tuples of `page`, without query annotations.
+    pub fn new(page: Arc<Page>, sel: Vec<u32>) -> FactBatch {
+        FactBatch::with_bits(page, sel, BitColumn::default())
+    }
+
+    /// Wrap the surviving tuples of `page` annotated with query bits:
+    /// tuple `i` of `bits` annotates page row `sel[i]`. A zero-width
+    /// column means "no per-tuple annotations".
+    pub fn with_bits(page: Arc<Page>, sel: Vec<u32>, bits: BitColumn) -> FactBatch {
+        debug_assert!(bits.words() == 0 || bits.len() == sel.len());
         FactBatch {
             page,
             sel,
-            bitmaps,
+            bits,
             rows: Vec::new(),
         }
     }
 
-    /// Wrap every row of `page` (identity selection, no bitmaps) — the
+    /// Wrap every row of `page` (identity selection, no query bits) — the
     /// constructor for scan passthrough and for dense operator output
     /// pages entering the batch dataflow.
     pub fn all(page: Arc<Page>) -> FactBatch {
@@ -538,7 +545,7 @@ impl FactBatch {
         FactBatch {
             page,
             sel: (0..n).collect(),
-            bitmaps: Vec::new(),
+            bits: BitColumn::default(),
             rows: Vec::new(),
         }
     }
@@ -559,11 +566,7 @@ impl FactBatch {
         FactBatch {
             page: self.page.clone(),
             sel: self.sel[..n].to_vec(),
-            bitmaps: if self.bitmaps.is_empty() {
-                Vec::new()
-            } else {
-                self.bitmaps[..n].to_vec()
-            },
+            bits: self.bits.prefix(n),
             rows: Vec::new(),
         }
     }
@@ -574,7 +577,7 @@ impl FactBatch {
         FactBatch {
             page: Arc::new(self.page.deep_copy()),
             sel: self.sel.clone(),
-            bitmaps: self.bitmaps.clone(),
+            bits: self.bits.clone(),
             rows: self.rows.clone(),
         }
     }
@@ -582,7 +585,7 @@ impl FactBatch {
     /// Selection-proportional copy: only the selected tuples are
     /// materialized, into a fresh dense page with an identity selection.
     /// Logically identical to [`Self::deep_copy`] (same tuples, same
-    /// order, same bitmaps) but the copy cost scales with the survivors,
+    /// order, same query bits) but the copy cost scales with the survivors,
     /// not the page — the flagged alternative to push-mode SP's
     /// full-page copy model for sparse batches.
     pub fn compact_copy(&self) -> FactBatch {
@@ -596,7 +599,7 @@ impl FactBatch {
         FactBatch {
             page: Arc::new(builder.finish()),
             sel: (0..self.sel.len() as u32).collect(),
-            bitmaps: self.bitmaps.clone(),
+            bits: self.bits.clone(),
             rows: Vec::new(),
         }
     }
@@ -625,16 +628,10 @@ impl FactBatch {
         &self.sel
     }
 
-    /// Per-tuple query bitmaps.
+    /// Per-tuple query bits, parallel to [`Self::sel`].
     #[inline]
-    pub fn bitmaps(&self) -> &[Bitmap] {
-        &self.bitmaps
-    }
-
-    /// Per-tuple query bitmaps, mutable (the shared joins AND into them).
-    #[inline]
-    pub fn bitmaps_mut(&mut self) -> &mut [Bitmap] {
-        &mut self.bitmaps
+    pub fn bits(&self) -> &BitColumn {
+        &self.bits
     }
 
     /// Gather an `Int` column of the surviving tuples into `out`
@@ -764,36 +761,48 @@ impl FactBatch {
     }
 
     /// Drop tuples where `keep[t]` is false, compacting the selection,
-    /// the bitmaps and (if materialized) the gathered row bytes in
+    /// the query bits and (if materialized) the gathered row bytes in
     /// place. Returns the number of surviving tuples.
     pub fn retain(&mut self, keep: &[bool]) -> usize {
         debug_assert_eq!(keep.len(), self.sel.len());
-        let mut idx = 0usize;
-        self.sel.retain(|_| {
-            let k = keep[idx];
-            idx += 1;
-            k
-        });
-        let mut idx = 0usize;
-        self.bitmaps.retain(|_| {
-            let k = keep[idx];
-            idx += 1;
-            k
-        });
-        if !self.rows.is_empty() {
-            let rs = self.page.schema().row_size();
-            let mut w = 0usize;
-            for (t, &k) in keep.iter().enumerate() {
-                if k {
-                    if w != t {
-                        self.rows.copy_within(t * rs..(t + 1) * rs, w * rs);
-                    }
-                    w += 1;
+        self.retain_with(|t, _| keep[t])
+    }
+
+    /// One-pass filter over the query bits: `f(t, bits)` sees tuple `t`'s
+    /// words (mutable — the shared joins AND into them) and returns
+    /// whether the tuple survives; dropped tuples are compacted out of
+    /// the selection, the bit column and any materialized row bytes in
+    /// the same pass. Tuples are visited in order, each exactly once.
+    /// Returns the number of surviving tuples.
+    #[inline]
+    pub fn retain_with(&mut self, mut f: impl FnMut(usize, &mut [u64]) -> bool) -> usize {
+        let w = self.bits.words;
+        let rs = if self.rows.is_empty() {
+            0
+        } else {
+            self.page.schema().row_size()
+        };
+        let n = self.sel.len();
+        let mut kept = 0usize;
+        for t in 0..n {
+            if !f(t, &mut self.bits.data[t * w..(t + 1) * w]) {
+                continue;
+            }
+            if kept != t {
+                self.sel[kept] = self.sel[t];
+                for i in 0..w {
+                    self.bits.data[kept * w + i] = self.bits.data[t * w + i];
+                }
+                if rs > 0 {
+                    self.rows.copy_within(t * rs..(t + 1) * rs, kept * rs);
                 }
             }
-            self.rows.truncate(w * rs);
+            kept += 1;
         }
-        self.sel.len()
+        self.sel.truncate(kept);
+        self.bits.data.truncate(kept * w);
+        self.rows.truncate(kept * rs);
+        kept
     }
 }
 
@@ -914,15 +923,11 @@ mod tests {
 
     fn fact_batch(sel: &[u32]) -> FactBatch {
         let p = Arc::new(page());
-        let bitmaps = sel
-            .iter()
-            .map(|&r| {
-                let mut bm = Bitmap::zeros(8);
-                bm.set(r as usize % 8);
-                bm
-            })
-            .collect();
-        FactBatch::new(p, sel.to_vec(), bitmaps)
+        let mut bits = BitColumn::zeros(1, sel.len());
+        for (t, &r) in sel.iter().enumerate() {
+            bits.set(t, r as usize % 8);
+        }
+        FactBatch::with_bits(p, sel.to_vec(), bits)
     }
 
     #[test]
@@ -946,12 +951,12 @@ mod tests {
             assert_eq!(fb.row_bytes(t), &want[..]);
             assert_eq!(fb.row_bytes(t).len(), rs);
         }
-        // Drop tuples 0 and 2; survivors keep their bytes and bitmaps.
+        // Drop tuples 0 and 2; survivors keep their bytes and query bits.
         let survivors = fb.retain(&[false, true, false, true]);
         assert_eq!(survivors, 2);
         assert_eq!(fb.sel(), &[2, 8]);
-        assert_eq!(fb.bitmaps().len(), 2);
-        assert!(fb.bitmaps()[0].get(2) && fb.bitmaps()[1].get(0));
+        assert_eq!(fb.bits().len(), 2);
+        assert!(fb.bits().get(0, 2) && fb.bits().get(1, 0));
         assert_eq!(fb.row_bytes(1), fb.page().row(8).bytes());
     }
 
@@ -1035,7 +1040,7 @@ mod tests {
             other => panic!("expected DictStr, got {other:?}"),
         }
         // Gathered through a selection: codes become owned.
-        let fb = FactBatch::new(Arc::new(col_page().1), vec![1, 5, 9], Vec::new());
+        let fb = FactBatch::new(Arc::new(col_page().1), vec![1, 5, 9]);
         let g = fb.columns_for_predicate(&[4]);
         match g.col(4) {
             ColumnData::DictStr { codes, .. } => {
@@ -1050,8 +1055,8 @@ mod tests {
     fn columnar_fact_batch_views_match_row_major() {
         let (row, col) = col_page();
         let sel: Vec<u32> = (0..64).filter(|i| i % 3 != 1).collect();
-        let a = FactBatch::new(Arc::new(row), sel.clone(), Vec::new());
-        let mut b = FactBatch::new(Arc::new(col), sel, Vec::new());
+        let a = FactBatch::new(Arc::new(row), sel.clone());
+        let mut b = FactBatch::new(Arc::new(col), sel);
         let mut ka = Vec::new();
         let mut kb = Vec::new();
         a.gather_i64_into(0, &mut ka); // RLE column

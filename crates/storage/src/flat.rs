@@ -1,10 +1,11 @@
-//! Flat open-addressing `key → u32` table for the system's hottest
-//! per-tuple lookups.
+//! Flat open-addressing `key → u32` table for group-slot resolution
+//! (`qs_engine`'s `GroupTable`, `i64` or packed-`u128` group key → dense
+//! group slot), which probes it once per surviving tuple per batch and
+//! inserts as it meets new groups. (The CJOIN dimension joins probe a
+//! read-only table of their own, `qs_cjoin::KeyIndex`: their keys never
+//! change after load, so a cheaper multiply-shift hash at a lower load
+//! factor suffices there.)
 //!
-//! Two loops probe a small-key map once per surviving tuple per batch:
-//! the CJOIN dimension probe (`dim_stage_loop`, `i64` surrogate key →
-//! entry index) and group-slot resolution (`qs_engine`'s `GroupTable`,
-//! `i64` or packed-`u128` group key → dense group slot).
 //! `std::collections::HashMap` pays SipHash plus a bucket indirection per
 //! probe; this table stores `(key, value)` pairs inline in one
 //! power-of-two array with linear probing, so the batched probe loop is a
@@ -14,9 +15,9 @@
 //! tests in `crates/cjoin/tests/properties.rs` pin against the `HashMap`
 //! oracle.
 //!
-//! The key type is anything implementing [`FlatKey`]: `i64` (dimension
-//! surrogates, single-`Int` group columns) and `u128` (multi-column group
-//! keys packed into one word) are provided.
+//! The key type is anything implementing [`FlatKey`]: `i64` (single-`Int`
+//! group columns) and `u128` (multi-column group keys packed into one
+//! word) are provided.
 
 /// Sentinel marking an empty slot. Values must be below it — dimension
 /// entry indices and group slots are, by construction (a table with

@@ -18,12 +18,12 @@
 //!   columns of a page once into typed vectors, the substrate for
 //!   vectorized (compiled) predicate evaluation in `qs-plan` and the
 //!   aggregation kernels in `qs-engine`,
-//! * selection masks and per-tuple query bitmaps ([`bitmap`]) plus the
-//!   [`batch::FactBatch`] that pairs them with a page — the
-//!   batch-at-a-time currency every post-predicate operator consumes,
-//! * a flat open-addressing `key → u32` table ([`flat`]) shared by the
-//!   CJOIN dimension probe (`i64` surrogates) and group-slot resolution
-//!   in `qs-engine` (`i64` and packed-`u128` group keys).
+//! * selection masks and the dense per-tuple query-bit column
+//!   ([`bitmap`]) plus the [`batch::FactBatch`] that pairs them with a
+//!   page — the batch-at-a-time currency every post-predicate operator
+//!   consumes,
+//! * a flat open-addressing `key → u32` table ([`flat`]) for group-slot
+//!   resolution in `qs-engine` (`i64` and packed-`u128` group keys).
 //!
 //! Everything is deterministic and in-process; "disk" pages are retained in
 //! memory but every buffer-pool miss pays the simulated I/O cost, which
@@ -45,7 +45,7 @@ pub mod table;
 pub mod value;
 
 pub use batch::{ColumnBatch, ColumnData, FactBatch};
-pub use bitmap::{iter_ones, mask_words, Bitmap};
+pub use bitmap::{iter_ones, mask_words, BitColumn, Bitmap};
 pub use bufferpool::{BufferPool, BufferPoolConfig, BufferPoolStats};
 pub use catalog::Catalog;
 pub use disk::{DiskConfig, DiskModel, DiskStats};

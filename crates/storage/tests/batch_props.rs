@@ -4,11 +4,13 @@
 //! `row_bytes`), in-place tuple bytes (`tuple_bytes`) — must agree with a
 //! naive per-row oracle that decodes `page.row(sel[t])` directly, under
 //! arbitrary selections including the empty and the full one, and must
-//! keep agreeing across `retain` compactions and `prefix` slices.
+//! keep agreeing across `retain` compactions and `prefix` slices. The
+//! dense query-bit column must keep agreeing with a per-tuple [`Bitmap`]
+//! oracle through every operation that moves or copies tuples.
 
 use proptest::prelude::*;
 use qs_storage::{
-    Bitmap, ColumnData, DataType, FactBatch, Page, PageBuilder, Schema, Value,
+    BitColumn, Bitmap, ColumnData, DataType, FactBatch, Page, PageBuilder, Schema, Value,
 };
 use std::sync::Arc;
 
@@ -50,16 +52,41 @@ fn arb_rows() -> impl Strategy<Value = Vec<(i64, f64, u32, String)>> {
     )
 }
 
+/// Query slots of the annotated batches: three words per tuple, so the
+/// column's stride and the bits past slots 64 and 128 are exercised.
+const SLOTS: usize = 130;
+
+/// The per-tuple oracle: page row `r` is annotated with slots derived
+/// from `r` alone, spread over all three words.
+fn annotation(r: u32) -> Bitmap {
+    let r = r as usize;
+    let mut bm = Bitmap::zeros(SLOTS);
+    bm.set(r % SLOTS);
+    bm.set((r * 7 + 64) % SLOTS);
+    if r.is_multiple_of(5) {
+        bm.set(SLOTS - 1);
+    }
+    bm
+}
+
 fn batch_with(page: &Arc<Page>, sel: &[u32]) -> FactBatch {
-    let bitmaps = sel
-        .iter()
-        .map(|&r| {
-            let mut bm = Bitmap::zeros(16);
-            bm.set(r as usize % 16);
-            bm
-        })
-        .collect();
-    FactBatch::new(page.clone(), sel.to_vec(), bitmaps)
+    let bitmaps: Vec<Bitmap> = sel.iter().map(|&r| annotation(r)).collect();
+    // An empty selection has no bitmap to take the width from.
+    let bits = if sel.is_empty() {
+        BitColumn::zeros(3, 0)
+    } else {
+        BitColumn::from_bitmaps(&bitmaps)
+    };
+    FactBatch::with_bits(page.clone(), sel.to_vec(), bits)
+}
+
+/// Every tuple's words equal the oracle bitmap of the page row it wraps.
+fn assert_bits_follow_rows(fb: &FactBatch) {
+    assert_eq!(fb.bits().words(), 3);
+    assert_eq!(fb.bits().len(), fb.len());
+    for (t, &r) in fb.sel().iter().enumerate() {
+        assert_eq!(fb.bits().tuple(t), annotation(r).words(), "tuple {t} (row {r})");
+    }
 }
 
 /// The oracle: decode tuple `t`'s column `c` through the page row view.
@@ -146,12 +173,12 @@ proptest! {
         check_views(&page, &[]);
         let full: Vec<u32> = (0..rows.len() as u32).collect();
         check_views(&page, &full);
-        assert!(FactBatch::new(page.clone(), full, Vec::new()).is_full());
+        assert!(FactBatch::new(page.clone(), full).is_full());
         assert!(FactBatch::all(page.clone()).is_full());
         assert_eq!(FactBatch::all(page.clone()).len(), rows.len());
     }
 
-    /// `retain` compacts selection, bitmaps and materialized rows
+    /// `retain` compacts selection, query bits and materialized rows
     /// consistently: the survivors' views still match the oracle.
     #[test]
     fn retain_preserves_survivor_views(
@@ -179,14 +206,13 @@ proptest! {
             .collect();
         prop_assert_eq!(survivors, expect.len());
         prop_assert_eq!(fb.sel(), &expect[..]);
-        prop_assert_eq!(fb.bitmaps().len(), expect.len());
+        // the bits that annotated page row r traveled with it
+        assert_bits_follow_rows(&fb);
         for (t, &r) in expect.iter().enumerate() {
             prop_assert_eq!(fb.tuple_bytes(t), page.row(r as usize).bytes());
             if materialize_first && !expect.is_empty() {
                 prop_assert_eq!(fb.row_bytes(t), page.row(r as usize).bytes());
             }
-            // the bitmap that annotated page row r traveled with it
-            prop_assert!(fb.bitmaps()[t].get(r as usize % 16));
         }
         // independent fresh views over the compacted batch still agree
         check_views(&page, &expect);
@@ -210,15 +236,71 @@ proptest! {
         let p = fb.prefix(n);
         prop_assert_eq!(p.len(), n);
         prop_assert_eq!(p.sel(), &sel[..n]);
-        prop_assert_eq!(p.bitmaps().len(), n);
+        assert_bits_follow_rows(&p);
         prop_assert!(Arc::ptr_eq(p.page(), fb.page()));
         for t in 0..n {
             prop_assert_eq!(p.tuple_bytes(t), fb.tuple_bytes(t));
         }
-        // prefix of a bitmap-free batch stays bitmap-free
-        let bare = FactBatch::new(page.clone(), sel.clone(), Vec::new());
+        // prefix of an unannotated batch stays unannotated
+        let bare = FactBatch::new(page.clone(), sel.clone());
         let bp = bare.prefix(n);
-        prop_assert!(bp.bitmaps().is_empty());
+        prop_assert_eq!(bp.bits().words(), 0);
+        prop_assert!(bp.bits().is_empty());
         prop_assert_eq!(bp.len(), n);
+    }
+
+    /// The bit column against the per-tuple oracle through the copies
+    /// (`deep_copy`, `compact_copy`) and through `retain_with`, which
+    /// both mutates the surviving tuples' words and drops tuples: every
+    /// survivor's words equal its oracle bitmap after the same edit.
+    #[test]
+    fn bit_column_matches_bitmap_oracle(
+        rows in arb_rows(),
+        selbits in prop::collection::vec(any::<bool>(), 120),
+        clear_slot in 0usize..SLOTS,
+        materialize_first in any::<bool>(),
+    ) {
+        let page = build_page(&rows);
+        let sel: Vec<u32> = (0..rows.len())
+            .filter(|&i| selbits[i])
+            .map(|i| i as u32)
+            .collect();
+        let mut fb = batch_with(&page, &sel);
+        assert_bits_follow_rows(&fb);
+        assert_bits_follow_rows(&fb.deep_copy());
+        let compact = fb.compact_copy();
+        prop_assert_eq!(compact.bits(), fb.bits());
+        if materialize_first {
+            fb.materialize_rows();
+        }
+
+        // The join-shaped edit: clear one slot everywhere, drop tuples
+        // whose bits reach zero.
+        let mut oracle: Vec<(u32, Bitmap)> = Vec::new();
+        for &r in &sel {
+            let mut bm = annotation(r);
+            bm.clear(clear_slot);
+            if bm.any() {
+                oracle.push((r, bm));
+            }
+        }
+        let mut visited = 0usize;
+        let survivors = fb.retain_with(|t, words| {
+            assert_eq!(t, visited, "tuples visited in order");
+            visited += 1;
+            words[clear_slot / 64] &= !(1u64 << (clear_slot % 64));
+            words.iter().any(|&w| w != 0)
+        });
+        prop_assert_eq!(visited, sel.len());
+        prop_assert_eq!(survivors, oracle.len());
+        for (t, (r, bm)) in oracle.iter().enumerate() {
+            prop_assert_eq!(fb.sel()[t], *r);
+            prop_assert_eq!(fb.bits().tuple(t), bm.words());
+            prop_assert_eq!(fb.tuple_bytes(t), page.row(*r as usize).bytes());
+            if materialize_first {
+                prop_assert_eq!(fb.row_bytes(t), page.row(*r as usize).bytes());
+            }
+        }
+        prop_assert_eq!(fb.bits().len(), oracle.len());
     }
 }

@@ -16,7 +16,7 @@
 
 use sharing_repro::cjoin::{AggPlan, Bitmap, SharedAggregator};
 use sharing_repro::prelude::*;
-use sharing_repro::storage::{Page, PageBuilder};
+use sharing_repro::storage::{BitColumn, Page, PageBuilder};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -37,7 +37,7 @@ fn main() {
     // hash matches its stride — mimicking different dimension predicates
     // surviving the shared join chain.
     println!("synthesizing annotated tuple stream for {q} queries ...");
-    let mut batches: Vec<(Page, Vec<Bitmap>)> = Vec::new();
+    let mut batches: Vec<(Page, BitColumn)> = Vec::new();
     let mut x = 0x243F_6A88_85A3_08D3u64; // deterministic xorshift
     for _ in 0..64 {
         let mut b = PageBuilder::with_bytes(schema.clone(), 16 * 1024);
@@ -64,7 +64,7 @@ fn main() {
             }
             bitmaps.push(bm);
         }
-        batches.push((b.finish(), bitmaps));
+        batches.push((b.finish(), BitColumn::from_bitmaps(&bitmaps)));
     }
     let tuples: usize = batches.iter().map(|(p, _)| p.rows()).sum();
     println!("  {tuples} joined tuples in {} pages\n", batches.len());

@@ -8,7 +8,7 @@ use sharing_repro::cjoin::{AggPlan, SharedAggregator};
 use sharing_repro::engine::reference;
 use sharing_repro::plan::CompiledPred;
 use sharing_repro::prelude::*;
-use sharing_repro::storage::Bitmap;
+use sharing_repro::storage::BitColumn;
 use std::sync::Arc;
 
 fn ssb(scale: f64, seed: u64) -> Arc<Catalog> {
@@ -220,21 +220,17 @@ fn shared_aggregator_matches_per_query_reference_on_annotated_stream() {
 
     let mut cursor = sharing_repro::storage::CircularCursor::new(lo.clone());
     while let Some(page) = cursor.next_page(&pool).unwrap() {
-        let bitmaps: Vec<Bitmap> = page
-            .iter()
-            .map(|row| {
-                let mut bm = Bitmap::zeros(4);
-                for (q, p) in preds.iter().enumerate() {
-                    if p.eval(&row) {
-                        bm.set(q);
-                    }
+        let mut bits = BitColumn::zeros(1, page.rows());
+        for (t, row) in page.iter().enumerate() {
+            for (q, p) in preds.iter().enumerate() {
+                if p.eval(&row) {
+                    bits.set(t, q);
                 }
-                bm
-            })
-            .collect();
-        shared.push_page(&page, &bitmaps);
+            }
+        }
+        shared.push_page(&page, &bits);
         for a in &mut solo {
-            a.push_page(&page, &bitmaps);
+            a.push_page(&page, &bits);
         }
     }
     for (q, mut a) in solo.into_iter().enumerate() {
