@@ -35,18 +35,56 @@
 //!   outputs, the paper's Figure 2).
 //!
 //! Admission/termination control flows through the same channels as data
-//! (`Msg::Admitted` / `Msg::QueryDone`), so ordering guarantees are free:
-//! a query's output hub is installed downstream before its first tuple,
-//! and finished after its last.
+//! (`Msg::Query`), so ordering guarantees are free: a query's output hub
+//! is installed downstream before its first tuple, and finished after its
+//! last.
+//!
+//! # Faults
+//!
+//! One always-on plan serves every query, so a fault must cost exactly
+//! the queries it touched, and each of their slots must come back exactly
+//! once. A query's stream ends in one of two ways:
+//!
+//! * **Terminal** (`QueryEvent::Ended`): only the preprocessor sends it,
+//!   when the query leaves its active set — cleanly, after a full
+//!   revolution or an early removal (`Ctl::Remove`), or aborted: its fact
+//!   predicate panicked, or a page was lost for every active query (an
+//!   unreadable page, an evaluation that failed outside any one
+//!   predicate, or the `cjoin.chan` failpoint; see `abort_active`). The
+//!   distributor closes the stream and releases the slot.
+//! * **Stream abort** (`QueryEvent::StreamAborted`): a stage past the
+//!   preprocessor lost a batch (the `cjoin.dim.chan`, `cjoin.fanout.chan`
+//!   and `cjoin.shard.chan` failpoints; see `lose_batch`), and with it
+//!   rows of exactly the queries whose bits it carried. Their streams
+//!   abort at once, but their slots stay taken: the stage asks for their
+//!   early removal, and the terminal message that follows releases them.
+//!
+//! A slot goes back only when its `SlotClaim` drops. The claim moves from
+//! the admission into `Ctl::Admit`, the preprocessor's active set and the
+//! terminal message, so it is released exactly once whichever path ends
+//! the query; an admission that fails before `Ctl::Admit` is sent drops
+//! it on the spot.
+//!
+//! Panics are contained ([`qs_engine::contain_panic`]) per stage thread
+//! (the channel cascade then tears the chain down and the distributors
+//! abort every open stream), per admission (it fails alone), per query
+//! predicate in the preprocessor (that query aborts), per fact page
+//! (every active query aborts) and per distributor message (the shard's
+//! open streams abort; their slots wait for their terminal messages).
 
 use crate::join::DimJoin;
 use crate::stats::{CjoinMetrics, CjoinStats};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, SendError, Sender, TryRecvError};
 use parking_lot::Mutex;
-use qs_engine::{BatchSource, ExecCtx, OutputHub, ShareMode, StageKind};
+use qs_engine::pool::Task;
+use qs_engine::{
+    contain_panic, BatchSource, EngineError, ExecCtx, OutputHub, ShareMode, StageKind,
+};
 use qs_plan::compiled::{iter_ones, mask_words};
 use qs_plan::{CompiledPred, Expr, PredScratch, StarQuery};
-use qs_storage::{BitColumn, Catalog, ColumnBatch, FactBatch, Page, PageBuilder, Schema, Table};
+use qs_storage::{
+    fault, BitColumn, Catalog, ColumnBatch, FactBatch, Page, PageBuilder, Schema, Table,
+};
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -68,30 +106,38 @@ impl Drop for JoinOnDrop {
 }
 
 /// Spawn one stage thread, propagating spawn failure as a typed error
-/// instead of panicking mid-construction (satellite of the fault-model
-/// work: a resource-exhausted host degrades to a clean `Err`).
+/// instead of panicking mid-construction (a resource-exhausted host
+/// degrades to a clean `Err`). The stage body runs under the stage belt:
+/// if it unwinds, the containment is counted and the thread exits. The
+/// channel cascade then tears the chain down to the distributors, whose
+/// drain path aborts every open query hub — co-runners degrade to failed
+/// tickets, never to a dead process or a hung reader.
 fn spawn_stage(
     threads: &mut JoinOnDrop,
     name: String,
+    metrics: Arc<qs_engine::Metrics>,
     f: impl FnOnce() + Send + 'static,
 ) -> Result<(), CjoinError> {
+    let stage = name.clone();
     let h = std::thread::Builder::new()
         .name(name.clone())
-        .spawn(f)
+        .spawn(move || {
+            if let Err(panic) = contain_panic(&metrics, &stage, f) {
+                eprintln!("cjoin: contained {panic}; pipeline shutting down");
+            }
+        })
         .map_err(|e| CjoinError::Spawn(format!("{name}: {e}")))?;
     threads.0.push(h);
     Ok(())
 }
 
-/// Top-level panic belt for a stage thread: runs the loop body, and if it
-/// unwinds, records the containment and lets the thread exit. The channel
-/// cascade then tears the chain down to the distributors, whose drain
-/// path aborts every open query hub — co-runners degrade to failed
-/// tickets, never to a dead process or a hung reader.
-fn contain_stage_panic(metrics: &Arc<qs_engine::Metrics>, stage: &str, f: impl FnOnce()) {
-    if catch_unwind(AssertUnwindSafe(f)).is_err() {
-        metrics.panics_contained.fetch_add(1, Ordering::Relaxed);
-        eprintln!("cjoin: contained panic in {stage} stage; pipeline shutting down");
+/// The next stage hung up: the pipeline is shutting down, and the stage
+/// loop that sees it returns.
+struct Closed;
+
+impl<T> From<SendError<T>> for Closed {
+    fn from(_: SendError<T>) -> Closed {
+        Closed
     }
 }
 
@@ -227,38 +273,33 @@ struct Batch {
     dim_hits: Vec<Vec<u32>>,
 }
 
-enum Msg {
-    Batch(Batch),
-    Admitted(u32, Box<QueryOutput>),
-    QueryDone(u32),
-    /// The query at this slot hit a contained fault (predicate panic,
-    /// failed fact-page read): stop feeding it and abort — not finish —
-    /// its output stream so the client sees a typed error, while every
-    /// co-running query continues undisturbed.
-    QueryAborted(u32, String),
-    /// Mid-chain abort (a dim or fan-out stage lost a batch): abort the
-    /// query's output stream, but do NOT release its slot — unlike the
-    /// terminal `QueryDone`/`QueryAborted`, which the preprocessor still
-    /// owes for this slot and which performs the (single) release. The
-    /// faulting stage also requests early removal via `Ctl::Remove`, so
-    /// that terminal message arrives promptly.
-    StreamAborted(u32, String),
+/// What flows down the chain. Batches are `B` = [`Batch`] up to the
+/// fan-out, which broadcasts each one to every distributor shard as
+/// `Arc<Batch>`; per-query events travel the same channels, and the
+/// fan-out routes each to the shard that owns its slot.
+enum Msg<B> {
+    Batch(B),
+    Query(u32, QueryEvent),
 }
 
-/// Messages delivered to distributor shards: batches are broadcast
-/// (shared), control messages are routed to the owning shard.
-enum DistMsg {
-    Batch(Arc<Batch>),
-    Admitted(u32, Box<QueryOutput>),
-    QueryDone(u32),
-    QueryAborted(u32, String),
-    /// Mid-chain abort: closes the output stream, never frees the slot.
-    StreamAborted(u32, String),
+/// A per-query event (see the module's "Faults" section).
+enum QueryEvent {
+    /// Install the query's output at its distributor shard.
+    Admitted(Box<QueryOutput>),
+    /// Terminal: the query left the preprocessor's active set, cleanly
+    /// (`Ok`) or aborted by a contained fault (`Err(cause)`, so the client
+    /// sees a typed error while every co-runner continues). Closes the
+    /// query's stream and, by dropping the claim, releases its slot.
+    Ended(SlotClaim, Result<(), String>),
+    /// Mid-chain abort (a stage past the preprocessor lost a batch):
+    /// aborts the query's stream but keeps its slot, which the terminal
+    /// `Ended` the preprocessor still owes releases.
+    StreamAborted(String),
 }
 
 enum Ctl {
     Admit {
-        slot: u32,
+        claim: SlotClaim,
         /// Admission generation (see [`ActiveQuery::gen`]).
         gen: u64,
         /// Fact predicate, compiled once at admission; shared by every
@@ -319,13 +360,51 @@ pub struct CjoinQuery {
     pub cancel: CjoinCancel,
 }
 
-/// Per-dimension cache of the predicates of *active* queries, used to
-/// de-duplicate admission work: when a new query brings a predicate
+/// Per dimension, the predicates of the slots' *active* admissions:
+/// signature → (predicate, slot). When a new query brings a predicate
 /// identical to one already evaluated for an active query on the same
 /// dimension, its bits are copied from that query's instead of
 /// re-evaluating the predicate over every entry (the CJOIN prototype's
 /// predicate-sharing optimization).
-type PredCache = Mutex<Vec<HashMap<u64, (Option<Expr>, u32)>>>;
+type PredCache = Vec<HashMap<u64, (Option<Expr>, u32)>>;
+
+/// The pipeline's query slots: the free list, and the predicate cache
+/// that admission de-duplicates against.
+struct Slots {
+    free: Mutex<Vec<u32>>,
+    preds: Mutex<PredCache>,
+}
+
+impl Slots {
+    /// Take a free slot, if any.
+    fn claim(self: &Arc<Self>) -> Option<SlotClaim> {
+        let slot = self.free.lock().pop()?;
+        Some(SlotClaim {
+            slots: self.clone(),
+            slot,
+        })
+    }
+}
+
+/// Ownership of one query slot. It is not `Clone`, and dropping it is
+/// the only way a slot goes back to the free list, so each occupancy is
+/// released exactly once, wherever its last owner lets go of it.
+struct SlotClaim {
+    slots: Arc<Slots>,
+    slot: u32,
+}
+
+impl Drop for SlotClaim {
+    fn drop(&mut self) {
+        // The slot's predicate-cache entries die with it: its next
+        // occupant overwrites the entry bits a later admission would copy.
+        let slot = self.slot;
+        for per_dim in self.slots.preds.lock().iter_mut() {
+            per_dim.retain(|_, (_, s)| *s != slot);
+        }
+        self.slots.free.lock().push(slot);
+    }
+}
 
 /// The always-on CJOIN operator.
 pub struct CjoinPipeline {
@@ -333,10 +412,9 @@ pub struct CjoinPipeline {
     fact_schema: Arc<Schema>,
     dims: Arc<Vec<DimData>>,
     ctl_tx: Sender<Ctl>,
-    free_slots: Arc<Mutex<Vec<u32>>>,
+    slots: Arc<Slots>,
     /// Monotonic admission counter (see [`ActiveQuery::gen`]).
     admit_gen: std::sync::atomic::AtomicU64,
-    pred_cache: Arc<PredCache>,
     max_queries: usize,
     out_page_bytes: usize,
     ctx: Arc<ExecCtx>,
@@ -413,7 +491,7 @@ impl CjoinPipeline {
 
         // Wire the chain: preproc -> dim[0] -> ... -> dim[k-1] -> dist.
         let (ctl_tx, ctl_rx) = bounded::<Ctl>(spec.max_queries.max(16));
-        let (head_tx, mut prev_rx) = bounded::<Msg>(spec.channel_depth.max(1));
+        let (head_tx, mut prev_rx) = bounded::<Msg<Batch>>(spec.channel_depth.max(1));
 
         // Preprocessor thread. Per-page fact-predicate evaluation fans
         // out across the engine's shared morsel pool (`ctx.workers`).
@@ -422,49 +500,54 @@ impl CjoinPipeline {
             let ctx = ctx.clone();
             let metrics = metrics.clone();
             let max_queries = spec.max_queries;
-            spawn_stage(&mut threads, "cjoin-preproc".into(), move || {
-                let m = ctx.metrics.clone();
-                contain_stage_panic(&m, "preprocessor", move || {
-                    preprocessor_loop(fact, ctx, metrics, max_queries, ctl_rx, head_tx)
-                });
-            })?;
+            spawn_stage(
+                &mut threads,
+                "cjoin-preproc".into(),
+                ctx.metrics.clone(),
+                move || {
+                    let _ = preprocessor_loop(fact, ctx, metrics, max_queries, ctl_rx, head_tx);
+                },
+            )?;
         }
 
         // One thread per shared hash-join.
         for dim_idx in 0..dims.len() {
-            let (tx, rx) = bounded::<Msg>(spec.channel_depth.max(1));
+            let (tx, rx) = bounded::<Msg<Batch>>(spec.channel_depth.max(1));
             let dims = dims.clone();
             let ctx = ctx.clone();
             let metrics = metrics.clone();
             let in_rx = prev_rx;
             let ctl = ctl_tx.clone();
-            spawn_stage(&mut threads, format!("cjoin-dim{dim_idx}"), move || {
-                let m = ctx.metrics.clone();
-                contain_stage_panic(&m, "dim", move || {
-                    dim_stage_loop(dim_idx, dims, ctx, metrics, in_rx, tx, ctl)
-                });
-            })?;
+            spawn_stage(
+                &mut threads,
+                format!("cjoin-dim{dim_idx}"),
+                ctx.metrics.clone(),
+                move || {
+                    let _ = dim_stage_loop(dim_idx, dims, ctx, metrics, in_rx, tx, ctl);
+                },
+            )?;
             prev_rx = rx;
         }
 
         // Distributor shards: slot s is owned by shard s % dist_shards.
-        let free_slots: Arc<Mutex<Vec<u32>>> =
-            Arc::new(Mutex::new((0..spec.max_queries as u32).rev().collect()));
-        let pred_cache: Arc<PredCache> =
-            Arc::new(Mutex::new(vec![HashMap::new(); dims.len()]));
+        let slots = Arc::new(Slots {
+            free: Mutex::new((0..spec.max_queries as u32).rev().collect()),
+            preds: Mutex::new(vec![HashMap::new(); dims.len()]),
+        });
         let shards = spec.dist_shards.max(1);
-        let mut shard_txs: Vec<Sender<DistMsg>> = Vec::with_capacity(shards);
+        let mut shard_txs: Vec<Sender<Msg<Arc<Batch>>>> = Vec::with_capacity(shards);
         for shard in 0..shards {
-            let (tx, rx) = bounded::<DistMsg>(spec.channel_depth.max(1));
+            let (tx, rx) = bounded::<Msg<Arc<Batch>>>(spec.channel_depth.max(1));
             shard_txs.push(tx);
             let dims = dims.clone();
             let ctx = ctx.clone();
             let metrics = metrics.clone();
-            let free = free_slots.clone();
-            let cache = pred_cache.clone();
-            spawn_stage(&mut threads, format!("cjoin-dist{shard}"), move || {
-                distributor_loop(dims, ctx, metrics, free, cache, rx)
-            })?;
+            spawn_stage(
+                &mut threads,
+                format!("cjoin-dist{shard}"),
+                ctx.metrics.clone(),
+                move || distributor_loop(dims, ctx, metrics, rx),
+            )?;
         }
         // Fan-out thread: broadcasts batches to every shard, routes
         // admissions/completions to the owning shard. Surviving tuples'
@@ -472,14 +555,15 @@ impl CjoinPipeline {
         // shards fan out from a contiguous buffer instead of each
         // re-reading the page per (tuple × query).
         {
-            let ctx = ctx.clone();
             let ctl = ctl_tx.clone();
-            spawn_stage(&mut threads, "cjoin-fanout".into(), move || {
-                let m = ctx.metrics.clone();
-                contain_stage_panic(&m, "fanout", move || {
-                    fanout_loop(prev_rx, shard_txs, ctl);
-                });
-            })?;
+            spawn_stage(
+                &mut threads,
+                "cjoin-fanout".into(),
+                ctx.metrics.clone(),
+                move || {
+                    let _ = fanout_loop(prev_rx, shard_txs, ctl);
+                },
+            )?;
         }
         let threads = std::mem::take(&mut threads.0);
 
@@ -488,9 +572,8 @@ impl CjoinPipeline {
             fact_schema,
             dims,
             ctl_tx,
-            free_slots,
+            slots,
             admit_gen: std::sync::atomic::AtomicU64::new(0),
-            pred_cache,
             max_queries: spec.max_queries,
             out_page_bytes: spec.out_page_bytes,
             ctx,
@@ -506,7 +589,7 @@ impl CjoinPipeline {
 
     /// Free slots remaining.
     pub fn free_slots(&self) -> usize {
-        self.free_slots.lock().len()
+        self.slots.free.lock().len()
     }
 
     /// Counters.
@@ -556,88 +639,8 @@ impl CjoinPipeline {
             dim_order.push(idx as u32);
         }
 
-        let slot = self
-            .free_slots
-            .lock()
-            .pop()
-            .ok_or(CjoinError::Saturated)?;
-
-        // Update dimension bits and bypass masks *before* the query's bit
-        // can appear on any tuple (the admit control message below is
-        // what makes the preprocessor start setting it; see the `join`
-        // module for why the stages' plain loads then see them).
-        let mut evals = 0u64;
-        let mut dedup_hits = 0u64;
-        {
-            let mut cache = self.pred_cache.lock();
-            for (idx, dim) in self.dims.iter().enumerate() {
-                match dim_order.iter().position(|&d| d == idx as u32) {
-                    Some(pos) => {
-                        dim.join.write_bypass(slot, false);
-                        let pred = star.dims[pos].predicate.clone();
-                        let key = pred_key(&pred);
-                        // Predicate sharing: an *active* query with the
-                        // identical predicate on this dimension already
-                        // computed these bits — copy them.
-                        let source = cache[idx]
-                            .get(&key)
-                            .filter(|(p, _)| *p == pred)
-                            .map(|(_, s)| *s);
-                        match source {
-                            Some(src) if src != slot => {
-                                for e in 0..dim.join.entries() {
-                                    dim.join.write_entry(e, slot, dim.join.entry_bit(e, src));
-                                }
-                                dedup_hits += 1;
-                            }
-                            _ => {
-                                // Contained: a panicking dimension
-                                // predicate fails only this admission.
-                                // Entry bits already written for the slot
-                                // are fully overwritten by the slot's next
-                                // occupant, but cache entries pointing at
-                                // this slot must not survive (a later
-                                // query would copy half-evaluated bits).
-                                match catch_unwind(AssertUnwindSafe(|| {
-                                    admission_scan(dim, &pred, slot)
-                                })) {
-                                    Ok(n) => {
-                                        evals += n;
-                                        cache[idx].insert(key, (pred, slot));
-                                    }
-                                    Err(_) => {
-                                        for per_dim in cache.iter_mut() {
-                                            per_dim.retain(|_, (_, s)| *s != slot);
-                                        }
-                                        drop(cache);
-                                        self.free_slots.lock().push(slot);
-                                        self.ctx
-                                            .metrics
-                                            .panics_contained
-                                            .fetch_add(1, Ordering::Relaxed);
-                                        return Err(CjoinError::Admission(format!(
-                                            "dimension predicate on `{}` panicked",
-                                            dim.spec.table
-                                        )));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        dim.join.write_bypass(slot, true);
-                        // Entries' bits for this slot are irrelevant
-                        // (bypass short-circuits).
-                    }
-                }
-            }
-        }
-        self.metrics
-            .admission_evals
-            .fetch_add(evals, Ordering::Relaxed);
-        self.metrics
-            .admission_dedup_hits
-            .fetch_add(dedup_hits, Ordering::Relaxed);
+        let claim = self.slots.claim().ok_or(CjoinError::Saturated)?;
+        let slot = claim.slot;
 
         // Output schema: fact columns, then each dim's columns in the
         // query's join order — identical to the query-centric join chain.
@@ -646,6 +649,17 @@ impl CjoinPipeline {
             out_schema = out_schema.join(&self.dims[d as usize].schema);
         }
 
+        // The admission's own work runs on the submitter's thread,
+        // contained: a panic (a dimension predicate, the `page.alloc`
+        // failpoint on the output page) fails only this admission, and
+        // `claim` drops on the way out, releasing the slot along with any
+        // predicate-cache entry already published for it.
+        let builder = contain_panic(&self.ctx.metrics, "cjoin admission", || {
+            self.write_dimension_bits(star, &dim_order, slot);
+            PageBuilder::with_bytes(out_schema.clone(), self.out_page_bytes)
+        })
+        .map_err(CjoinError::Admission)?;
+
         let (hub, reader) = OutputHub::new(
             ShareMode::Pull,
             StageKind::Cjoin,
@@ -653,30 +667,6 @@ impl CjoinPipeline {
             self.ctx.metrics.clone(),
             self.ctx.governor.clone(),
         );
-        // Output-page allocation runs on the submitter's thread; a panic
-        // here (e.g. the `page.alloc` failpoint, or a real OOM-style
-        // abort) must degrade to a failed admission, not kill the caller.
-        let builder = match catch_unwind(AssertUnwindSafe(|| {
-            PageBuilder::with_bytes(out_schema.clone(), self.out_page_bytes)
-        })) {
-            Ok(b) => b,
-            Err(_) => {
-                {
-                    let mut cache = self.pred_cache.lock();
-                    for per_dim in cache.iter_mut() {
-                        per_dim.retain(|_, (_, s)| *s != slot);
-                    }
-                }
-                self.free_slots.lock().push(slot);
-                self.ctx
-                    .metrics
-                    .panics_contained
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(CjoinError::Admission(
-                    "output page allocation panicked".into(),
-                ));
-            }
-        };
         let output = Box::new(QueryOutput {
             hub: hub.clone(),
             builder,
@@ -689,30 +679,18 @@ impl CjoinPipeline {
             .as_ref()
             .map(|e| Arc::new(CompiledPred::compile(e, &self.fact_schema)));
         let gen = self.admit_gen.fetch_add(1, Ordering::Relaxed);
-        if self
-            .ctl_tx
+        // The send fails only when the preprocessor is gone (pipeline
+        // shut down or its thread died): the rejected `Ctl::Admit` drops
+        // with the claim in it, so the slot goes back and a later rebuild
+        // starts clean.
+        self.ctl_tx
             .send(Ctl::Admit {
-                slot,
+                claim,
                 gen,
                 fact_pred,
                 output,
             })
-            .is_err()
-        {
-            // The preprocessor is gone (pipeline shut down or its thread
-            // died): surface a typed error instead of panicking, and give
-            // the slot back so a later pipeline rebuild starts clean.
-            {
-                let mut cache = self.pred_cache.lock();
-                for per_dim in cache.iter_mut() {
-                    per_dim.retain(|_, (_, s)| *s != slot);
-                }
-            }
-            self.free_slots.lock().push(slot);
-            return Err(CjoinError::Down);
-        }
-        // Slot is returned to the allocator by the distributor when the
-        // revolution completes — see `distributor_loop`.
+            .map_err(|_| CjoinError::Down)?;
         Ok(CjoinQuery {
             reader,
             hub,
@@ -724,6 +702,53 @@ impl CjoinPipeline {
                 gen,
             },
         })
+    }
+
+    /// Write `slot`'s bypass bit and entry bits on every dimension —
+    /// *before* its bit can appear on any tuple (the `Ctl::Admit` sent
+    /// after this is what makes the preprocessor start setting it; see
+    /// the `join` module for why the stages' plain loads then see them).
+    fn write_dimension_bits(&self, star: &StarQuery, dim_order: &[u32], slot: u32) {
+        let mut evals = 0u64;
+        let mut dedup_hits = 0u64;
+        let mut cache = self.slots.preds.lock();
+        for (idx, dim) in self.dims.iter().enumerate() {
+            let Some(pos) = dim_order.iter().position(|&d| d == idx as u32) else {
+                // Entries' bits for this slot are irrelevant (bypass
+                // short-circuits).
+                dim.join.write_bypass(slot, true);
+                continue;
+            };
+            dim.join.write_bypass(slot, false);
+            let pred = &star.dims[pos].predicate;
+            let key = pred_key(pred);
+            // Predicate sharing: an *active* query with the identical
+            // predicate on this dimension already computed these bits —
+            // copy them.
+            let source = cache[idx]
+                .get(&key)
+                .filter(|(p, _)| p == pred)
+                .map(|(_, s)| *s);
+            match source {
+                Some(src) if src != slot => {
+                    for e in 0..dim.join.entries() {
+                        dim.join.write_entry(e, slot, dim.join.entry_bit(e, src));
+                    }
+                    dedup_hits += 1;
+                }
+                _ => {
+                    evals += admission_scan(dim, pred, slot);
+                    cache[idx].insert(key, (pred.clone(), slot));
+                }
+            }
+        }
+        drop(cache);
+        self.metrics
+            .admission_evals
+            .fetch_add(evals, Ordering::Relaxed);
+        self.metrics
+            .admission_dedup_hits
+            .fetch_add(dedup_hits, Ordering::Relaxed);
     }
 }
 
@@ -775,33 +800,40 @@ fn admission_scan(dim: &DimData, pred: &Option<Expr>, slot: u32) -> u64 {
 // ---------------------------------------------------------------------
 
 struct ActiveQuery {
-    slot: u32,
-    /// Admission generation: distinguishes this occupancy of `slot` from
-    /// earlier (freed) ones, so a stale gen-checked removal can't kill a
-    /// successor query that reused the slot.
+    claim: SlotClaim,
+    /// Admission generation: distinguishes this occupancy of the slot
+    /// from earlier (freed) ones, so a stale gen-checked removal can't
+    /// kill a successor query that reused the slot.
     gen: u64,
     fact_pred: Option<Arc<CompiledPred>>,
     remaining_pages: usize,
 }
 
-/// A unit of parallel fact-predicate evaluation: rows `range` of `page`
-/// against the compiled-predicate snapshot. One chunk is one morsel task
+/// The active queries' fact predicates by slot, and the union of the
+/// columns they reference — the set a page's batch decodes once for all
+/// queries.
+type PredSnapshot = (Vec<(u32, Option<Arc<CompiledPred>>)>, Vec<usize>);
+
+/// One chunk's evaluation: surviving rows, their query bits, and the
+/// slots whose predicate panicked.
+type ChunkResult = (Vec<u32>, BitColumn, Vec<u32>);
+
+/// A unit of fact-predicate evaluation: rows `range` of `page` against
+/// the active queries' compiled predicates. One chunk is one morsel task
 /// on the engine's shared worker pool; the preprocessor reassembles chunk
 /// results in range order.
-struct ChunkJob {
-    page: Arc<Page>,
+struct ChunkJob<'a> {
+    page: &'a Page,
     range: std::ops::Range<usize>,
-    preds: Arc<Vec<(u32, Option<Arc<CompiledPred>>)>>,
-    /// Union of the columns referenced by any active predicate — the set
-    /// the batch decodes once for all queries.
-    cols: Arc<Vec<usize>>,
+    preds: &'a [(u32, Option<Arc<CompiledPred>>)],
+    cols: &'a [usize],
     /// Query-bit words per tuple: `⌈max_queries/64⌉`.
     words: usize,
 }
 
-/// Reusable buffers for [`eval_chunk`], held per worker thread so
-/// steady-state chunk evaluation allocates only the outgoing
-/// rows/bits vectors.
+/// Reusable buffers for [`eval_chunk`], one per chunk position, so
+/// steady-state chunk evaluation allocates only the outgoing rows/bits
+/// vectors.
 #[derive(Default)]
 struct ChunkScratch {
     pred: PredScratch,
@@ -820,7 +852,7 @@ struct ChunkScratch {
 /// into a per-query selection mask, then transpose the masks straight
 /// into the query-bit column the shared joins consume. Dead rows (no
 /// query bit set) get no words.
-fn eval_chunk(job: &ChunkJob, scratch: &mut ChunkScratch) -> (Vec<u32>, BitColumn, Vec<u32>) {
+fn eval_chunk(job: &ChunkJob, scratch: &mut ChunkScratch) -> ChunkResult {
     let n = job.range.len();
     if n == 0 {
         return (Vec::new(), BitColumn::zeros(job.words, 0), Vec::new());
@@ -830,7 +862,7 @@ fn eval_chunk(job: &ChunkJob, scratch: &mut ChunkScratch) -> (Vec<u32>, BitColum
     // Predicate-shaped decode: dictionary-coded Char columns on columnar
     // pages stay as codes, so every active query's string predicate is
     // evaluated once per dictionary entry instead of once per row.
-    let batch = ColumnBatch::for_predicate_range(&job.page, job.range.clone(), &job.cols);
+    let batch = ColumnBatch::for_predicate_range(job.page, job.range.clone(), job.cols);
 
     scratch.masks.clear();
     scratch.masks.resize(nq * words, 0);
@@ -888,27 +920,74 @@ fn eval_chunk(job: &ChunkJob, scratch: &mut ChunkScratch) -> (Vec<u32>, BitColum
     (rows, bits, poisoned)
 }
 
-/// Stage-channel failpoints, injected where a stage hands a batch to the
-/// next channel. `<point>.delay` stalls the send (stage-channel
-/// backpressure); `<point>.abort` fails it — a lost batch. Sites:
-/// `cjoin.chan` (preprocessor — aborts every active query, like a
-/// poisoned page), `cjoin.dim.chan` (dim hash-join stages) and
-/// `cjoin.fanout.chan` (fan-out broadcast), which abort exactly the
-/// queries with bits in the lost batch. The pipeline lives on in every
-/// case.
-fn chan_fault_at(delay: &'static str, abort: &'static str) -> Result<(), String> {
-    if !qs_storage::fault::armed() {
-        return Ok(());
+/// Evaluate every active query's fact predicate over `page` as morsel
+/// tasks on the engine's shared pool — four chunks when the page and the
+/// query count justify the fan-out, else one, which the calling thread
+/// runs itself — and reassemble the chunks' survivors in row order. The
+/// pool contains a task's panic outside any one predicate (e.g. in the
+/// shared batch decode), and its `pool.task` failpoint, as an `Err`
+/// reported after every sibling finished: the page is then lost for
+/// every active query.
+fn evaluate_page(
+    ctx: &ExecCtx,
+    page: &Page,
+    (preds, cols): &PredSnapshot,
+    words: usize,
+    scratch: &mut Vec<ChunkScratch>,
+) -> Result<ChunkResult, EngineError> {
+    let n_rows = page.rows();
+    let chunks = if ctx.workers.workers() > 1 && n_rows * preds.len() >= 512 {
+        4
+    } else {
+        1
+    };
+    let step = n_rows.div_ceil(chunks).max(1);
+    let starts: Vec<usize> = (0..n_rows.max(1)).step_by(step).collect();
+    if scratch.len() < starts.len() {
+        scratch.resize_with(starts.len(), ChunkScratch::default);
     }
-    qs_storage::fault::maybe_delay(delay);
-    if qs_storage::fault::should_fire(abort) {
-        return Err(format!("injected fault `{abort}`"));
+    let mut parts: Vec<Option<ChunkResult>> = starts.iter().map(|_| None).collect();
+    let run = ctx.governor.run(|| {
+        let tasks: Vec<Task> = parts
+            .iter_mut()
+            .zip(scratch.iter_mut())
+            .zip(&starts)
+            .map(|((part, scratch), &start)| {
+                let job = ChunkJob {
+                    page,
+                    range: start..(start + step).min(n_rows),
+                    preds,
+                    cols,
+                    words,
+                };
+                Box::new(move || *part = Some(eval_chunk(&job, scratch))) as Task
+            })
+            .collect();
+        ctx.workers.run(tasks)
+    });
+    if let Err(e) = run {
+        // Scratches may hold mid-unwind state; rebuild them.
+        scratch.clear();
+        return Err(e);
     }
-    Ok(())
-}
-
-fn chan_fault() -> Result<(), String> {
-    chan_fault_at("cjoin.chan.delay", "cjoin.chan.abort")
+    let mut parts: Vec<ChunkResult> = parts
+        .into_iter()
+        .map(|part| part.expect("a clean pool run fills every chunk"))
+        .collect();
+    if parts.len() == 1 {
+        // One chunk: its vectors become the batch's, uncopied.
+        return Ok(parts.pop().expect("one chunk"));
+    }
+    let survivors = parts.iter().map(|(r, _, _)| r.len()).sum();
+    let mut rows = Vec::with_capacity(survivors);
+    let mut bits = BitColumn::with_capacity(words, survivors);
+    let mut poisoned = Vec::new();
+    for (r, b, mut p) in parts {
+        rows.extend(r);
+        bits.extend(&b);
+        poisoned.append(&mut p);
+    }
+    Ok((rows, bits, poisoned))
 }
 
 /// The queries whose bit any tuple of `batch` carries — exactly the set
@@ -923,14 +1002,59 @@ fn affected_slots(batch: &Batch) -> Vec<u32> {
         .collect()
 }
 
+/// Terminally abort the active queries whose slot `doomed` selects: each
+/// leaves the active set, and its claim travels with the abort to the
+/// distributor, which releases the slot. Returns how many were aborted.
+fn abort_active(
+    active: &mut Vec<ActiveQuery>,
+    doomed: impl Fn(u32) -> bool,
+    cause: &str,
+    out: &Sender<Msg<Batch>>,
+) -> Result<u64, Closed> {
+    let mut aborted = 0;
+    for q in active.extract_if(.., |q| doomed(q.claim.slot)) {
+        let slot = q.claim.slot;
+        out.send(Msg::Query(
+            slot,
+            QueryEvent::Ended(q.claim, Err(cause.to_string())),
+        ))?;
+        aborted += 1;
+    }
+    Ok(aborted)
+}
+
+/// A batch lost past the preprocessor (the `cjoin.dim.chan`,
+/// `cjoin.fanout.chan` or `cjoin.shard.chan` failpoint fired): abort the
+/// streams of exactly `slots`, the queries whose bits it carried, each
+/// down the channel `route` picks for it, and request their early
+/// removal so that their terminal messages, which release the slots,
+/// come promptly. The request never blocks — the preprocessor may be
+/// blocked sending to this stage; on a full control channel the query
+/// rides out its revolution instead.
+fn lose_batch<'a, B: 'a>(
+    slots: impl IntoIterator<Item = u32>,
+    cause: &str,
+    route: impl Fn(u32) -> &'a Sender<Msg<B>>,
+    ctl_tx: &Sender<Ctl>,
+) -> Result<(), Closed> {
+    for slot in slots {
+        route(slot).send(Msg::Query(
+            slot,
+            QueryEvent::StreamAborted(cause.to_string()),
+        ))?;
+        let _ = ctl_tx.try_send(Ctl::Remove { slot, gen: None });
+    }
+    Ok(())
+}
+
 fn preprocessor_loop(
     fact: Arc<Table>,
     ctx: Arc<ExecCtx>,
     metrics: Arc<CjoinMetrics>,
     max_queries: usize,
     ctl_rx: Receiver<Ctl>,
-    out: Sender<Msg>,
-) {
+    out: Sender<Msg<Batch>>,
+) -> Result<(), Closed> {
     let mut active: Vec<ActiveQuery> = Vec::new();
     let mut pos = 0usize;
     let pages = fact.page_count();
@@ -942,54 +1066,40 @@ fn preprocessor_loop(
     let window = ctx.pool.read_ahead_window().min(pages.saturating_sub(1));
     let mut ahead = 0usize;
     let words = mask_words(max_queries).max(1);
-    let mut inline_scratch = ChunkScratch::default();
-    // Per-chunk scratch and result slots for the pooled parallel path,
-    // reused across pages: surviving rows, their query bits, poisoned
-    // query slots.
-    type ChunkResult = (Vec<u32>, BitColumn, Vec<u32>);
-    let mut chunk_scratch: Vec<ChunkScratch> = Vec::new();
-    let mut chunk_out: Vec<Option<ChunkResult>> = Vec::new();
-    // Predicate snapshot shared with the worker pool, plus the union of
-    // referenced columns; invariant between admissions/removals, so it is
-    // rebuilt only when `active` changes, not per page.
-    type PredSnapshot = (
-        Arc<Vec<(u32, Option<Arc<CompiledPred>>)>>,
-        Arc<Vec<usize>>,
-    );
+    let mut scratch: Vec<ChunkScratch> = Vec::new();
+    // Invariant between admissions/removals, so rebuilt only when
+    // `active` changes, not per page.
     let mut snapshot: Option<PredSnapshot> = None;
-    'outer: loop {
+    loop {
         // Apply pending control messages; block when idle.
         loop {
             let ctl = if active.is_empty() {
                 match ctl_rx.recv() {
                     Ok(c) => c,
-                    Err(_) => break 'outer,
+                    Err(_) => return Ok(()),
                 }
             } else {
                 match ctl_rx.try_recv() {
                     Ok(c) => c,
-                    Err(crossbeam::channel::TryRecvError::Empty) => break,
-                    Err(crossbeam::channel::TryRecvError::Disconnected) => break 'outer,
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => return Ok(()),
                 }
             };
             match ctl {
                 Ctl::Admit {
-                    slot,
+                    claim,
                     gen,
                     fact_pred,
                     output,
                 } => {
-                    if out.send(Msg::Admitted(slot, output)).is_err() {
-                        break 'outer;
-                    }
+                    let slot = claim.slot;
+                    out.send(Msg::Query(slot, QueryEvent::Admitted(output)))?;
                     if pages == 0 {
                         // Empty fact table: the query completes instantly.
-                        if out.send(Msg::QueryDone(slot)).is_err() {
-                            break 'outer;
-                        }
+                        out.send(Msg::Query(slot, QueryEvent::Ended(claim, Ok(()))))?;
                     } else {
                         active.push(ActiveQuery {
-                            slot,
+                            claim,
                             gen,
                             fact_pred,
                             remaining_pages: pages,
@@ -998,23 +1108,21 @@ fn preprocessor_loop(
                     }
                 }
                 Ctl::Remove { slot, gen } => {
-                    // Only forward QueryDone if the query is still active;
-                    // a natural completion may have raced the removal (in
-                    // which case its QueryDone is already in flight and
-                    // the slot must not be double-freed). A gen-checked
-                    // removal additionally requires the occupant to be the
-                    // admission that requested it — a stale cancel must
-                    // not kill a successor query that reused the slot.
-                    let before = active.len();
-                    active.retain(|q| q.slot != slot || gen.is_some_and(|g| g != q.gen));
-                    if active.len() < before {
+                    // A query no longer active has already sent its
+                    // terminal message. A gen-checked removal also
+                    // requires the occupant to be the admission that
+                    // requested it — a stale cancel must not kill a
+                    // successor query that reused the slot.
+                    let removed = active
+                        .iter()
+                        .position(|q| q.claim.slot == slot && gen.is_none_or(|g| g == q.gen));
+                    if let Some(i) = removed {
+                        let q = active.remove(i);
                         snapshot = None;
-                        if out.send(Msg::QueryDone(slot)).is_err() {
-                            break 'outer;
-                        }
+                        out.send(Msg::Query(slot, QueryEvent::Ended(q.claim, Ok(()))))?;
                     }
                 }
-                Ctl::Shutdown => break 'outer,
+                Ctl::Shutdown => return Ok(()),
             }
         }
 
@@ -1028,316 +1136,128 @@ fn preprocessor_loop(
             ctx.pool.read_ahead(&fact, (pos + ahead) % pages);
         }
 
-        // One page of the circular fact scan. A failed read poisons every
-        // query whose revolution spans this page — i.e. all currently
-        // active ones — but not the pipeline: their outputs are aborted
-        // with the typed cause and the scan moves on for future admits.
-        // (A failed read-ahead of this page is not such a failure: it
-        // left no entry, and this `get` read the page itself.)
-        let read = ctx.pool.get(&fact, pos);
+        // One page of the circular fact scan. Every active query's fact
+        // predicate runs over it, page-at-a-time over one shared column
+        // batch; predicates were compiled at admission and the snapshot
+        // survives until the active set changes. Losing the page — a
+        // failed read, an evaluation that failed outside any one
+        // predicate, or the `cjoin.chan` failpoint on the send — would
+        // silently drop rows of every query whose revolution spans it,
+        // i.e. all active ones: they abort, and the scan moves on for
+        // future admissions. (A failed read-ahead of this page is not such
+        // a failure: it left no entry, and this `get` read the page
+        // itself.)
+        let snap = snapshot.get_or_insert_with(|| {
+            let preds: Vec<(u32, Option<Arc<CompiledPred>>)> = active
+                .iter()
+                .map(|q| (q.claim.slot, q.fact_pred.clone()))
+                .collect();
+            let mut cols: Vec<usize> = preds
+                .iter()
+                .filter_map(|(_, p)| p.as_ref())
+                .flat_map(|p| p.columns().iter().copied())
+                .collect();
+            cols.sort_unstable();
+            cols.dedup();
+            (preds, cols)
+        });
         let page_no = pos;
         pos = (pos + 1) % pages;
         ahead = ahead.saturating_sub(1);
-        let page = match read {
-            Ok(p) => p,
-            Err(e) => {
-                let msg = format!("fact page {page_no} unreadable: {e}");
-                for q in active.drain(..) {
-                    if out.send(Msg::QueryAborted(q.slot, msg.clone())).is_err() {
-                        break 'outer;
-                    }
-                }
+        let scanned = ctx
+            .pool
+            .get(&fact, page_no)
+            .map_err(|e| format!("fact page {page_no} unreadable: {e}"))
+            .and_then(|page| {
+                fact.advance_clock(page_no);
+                metrics.fact_pages.fetch_add(1, Ordering::Relaxed);
+                let evaluated = evaluate_page(&ctx, &page, snap, words, &mut scratch)
+                    .map_err(|e| format!("fact page {page_no} evaluation failed: {e}"))?;
+                fault::maybe_delay_abort("cjoin.chan")
+                    .map_err(|cause| format!("stage channel fault: {cause}"))?;
+                Ok((page, evaluated))
+            });
+        let (page, (rows, bits, poisoned)) = match scanned {
+            Ok(scanned) => scanned,
+            Err(cause) => {
+                abort_active(&mut active, |_| true, &cause, &out)?;
                 snapshot = None;
                 continue;
             }
         };
-        fact.advance_clock(page_no);
-        metrics.fact_pages.fetch_add(1, Ordering::Relaxed);
-
-        // Evaluate every active query's fact predicate on every row —
-        // page-at-a-time over one shared column batch, chunked across the
-        // preprocessor worker pool when the page and query count justify
-        // the fan-out. Predicates were compiled at admission and the
-        // snapshot survives until the active set changes, so the per-page
-        // cost is two `Arc` bumps.
-        let (preds, cols) = snapshot
-            .get_or_insert_with(|| {
-                let preds: Arc<Vec<(u32, Option<Arc<CompiledPred>>)>> = Arc::new(
-                    active
-                        .iter()
-                        .map(|q| (q.slot, q.fact_pred.clone()))
-                        .collect(),
-                );
-                let mut cols: Vec<usize> = preds
-                    .iter()
-                    .filter_map(|(_, p)| p.as_ref())
-                    .flat_map(|p| p.columns().iter().copied())
-                    .collect();
-                cols.sort_unstable();
-                cols.dedup();
-                (preds, Arc::new(cols))
-            })
-            .clone();
-        let n_rows = page.rows();
-        let parallel = ctx.workers.workers() > 1 && n_rows * active.len() >= 512;
-        let mut page_poisoned = false;
-        let mut poisoned_slots: Vec<u32> = Vec::new();
-        let (rows, bits) = if parallel {
-            // Chunked across the shared morsel pool: one task per chunk,
-            // each with its own reused scratch and result slot. The pool
-            // contains per-task panics (a panic outside any predicate,
-            // e.g. in the shared batch decode) and reports them as an
-            // `Err` after every sibling finished — the whole-page poison
-            // signal that used to be a missing reply.
-            let chunks = 4usize;
-            let step = n_rows.div_ceil(chunks).max(1);
-            let starts: Vec<usize> = (0..n_rows).step_by(step).collect();
-            if chunk_scratch.len() < starts.len() {
-                chunk_scratch.resize_with(starts.len(), ChunkScratch::default);
-            }
-            chunk_out.clear();
-            chunk_out.resize_with(starts.len(), || None);
-            let run = ctx.governor.run(|| {
-                let mut tasks: Vec<qs_engine::pool::Task> =
-                    Vec::with_capacity(starts.len());
-                for ((slot_out, scratch), &start) in chunk_out
-                    .iter_mut()
-                    .zip(chunk_scratch.iter_mut())
-                    .zip(&starts)
-                {
-                    let job = ChunkJob {
-                        page: page.clone(),
-                        range: start..(start + step).min(n_rows),
-                        preds: preds.clone(),
-                        cols: cols.clone(),
-                        words,
-                    };
-                    tasks.push(Box::new(move || {
-                        *slot_out = Some(eval_chunk(&job, scratch));
-                    }));
-                }
-                ctx.workers.run(tasks)
-            });
-            match run {
-                Ok(()) => {
-                    let parts: Vec<ChunkResult> = chunk_out
-                        .iter_mut()
-                        .map(|part| part.take().expect("clean pool run fills every chunk"))
-                        .collect();
-                    let survivors = parts.iter().map(|(r, _, _)| r.len()).sum();
-                    let mut rows = Vec::with_capacity(survivors);
-                    let mut bits = BitColumn::with_capacity(words, survivors);
-                    for (r, b, mut p) in parts {
-                        rows.extend(r);
-                        bits.extend(&b);
-                        poisoned_slots.append(&mut p);
-                    }
-                    (rows, bits)
-                }
-                Err(_) => {
-                    // A task panicked (or hit the pool failpoint) —
-                    // scratches may hold mid-unwind state; rebuild them.
-                    chunk_scratch.clear();
-                    page_poisoned = true;
-                    (Vec::new(), BitColumn::default())
-                }
-            }
-        } else {
-            let inline = catch_unwind(AssertUnwindSafe(|| {
-                ctx.governor.run(|| {
-                    eval_chunk(
-                        &ChunkJob {
-                            page: page.clone(),
-                            range: 0..n_rows,
-                            preds: preds.clone(),
-                            cols: cols.clone(),
-                            words,
-                        },
-                        &mut inline_scratch,
-                    )
-                })
-            }));
-            match inline {
-                Ok((rows, bits, poisoned)) => {
-                    poisoned_slots = poisoned;
-                    (rows, bits)
-                }
-                Err(_) => {
-                    ctx.metrics.panics_contained.fetch_add(1, Ordering::Relaxed);
-                    inline_scratch = ChunkScratch::default();
-                    page_poisoned = true;
-                    (Vec::new(), BitColumn::default())
-                }
-            }
-        };
-        if page_poisoned {
-            // A chunk evaluated by no surviving reply: any batch built
-            // from the remaining chunks would silently drop rows for
-            // *every* active query. Abort them all; the pipeline lives.
-            let msg = format!("fact page {page_no} evaluation panicked");
-            for q in active.drain(..) {
-                if out.send(Msg::QueryAborted(q.slot, msg.clone())).is_err() {
-                    break 'outer;
-                }
-            }
-            snapshot = None;
-            continue;
-        }
-        // Failpoint on the stage channel: an injected send failure is a
-        // lost batch — like a poisoned page, it must abort every query
-        // whose revolution spans it, never silently drop their rows.
-        if let Err(cause) = chan_fault() {
-            let msg = format!("stage channel fault: {cause}");
-            for q in active.drain(..) {
-                if out.send(Msg::QueryAborted(q.slot, msg.clone())).is_err() {
-                    break 'outer;
-                }
-            }
-            snapshot = None;
-            continue;
-        }
         metrics
             .tuples_in
             .fetch_add(rows.len() as u64, Ordering::Relaxed);
-        if out
-            .send(Msg::Batch(Batch {
-                fact: FactBatch::with_bits(page, rows, bits),
-                dim_hits: Vec::new(),
-            }))
-            .is_err()
-        {
-            break;
-        }
+        out.send(Msg::Batch(Batch {
+            fact: FactBatch::with_bits(page, rows, bits),
+            dim_hits: Vec::new(),
+        }))?;
         // Queries whose predicate panicked on this page: contained per
         // query — abort them (after the batch, so the abort supersedes
         // any of their bits already in flight) and keep the co-runners.
-        if !poisoned_slots.is_empty() {
-            poisoned_slots.sort_unstable();
-            poisoned_slots.dedup();
-            for slot in poisoned_slots {
-                let before = active.len();
-                active.retain(|q| q.slot != slot);
-                if active.len() < before {
-                    snapshot = None;
-                    ctx.metrics.panics_contained.fetch_add(1, Ordering::Relaxed);
-                    let msg = "fact predicate panicked".to_string();
-                    if out.send(Msg::QueryAborted(slot, msg)).is_err() {
-                        break 'outer;
-                    }
-                }
-            }
+        if !poisoned.is_empty() {
+            let aborted = abort_active(
+                &mut active,
+                |slot| poisoned.contains(&slot),
+                "fact predicate panicked",
+                &out,
+            )?;
+            ctx.metrics
+                .panics_contained
+                .fetch_add(aborted, Ordering::Relaxed);
+            snapshot = None;
         }
 
         // Retire queries whose revolution completed.
-        let mut done: Vec<u32> = Vec::new();
-        active.retain_mut(|q| {
+        let retired = |q: &mut ActiveQuery| {
             q.remaining_pages -= 1;
-            if q.remaining_pages == 0 {
-                done.push(q.slot);
-                false
-            } else {
-                true
-            }
-        });
-        if !done.is_empty() {
+            q.remaining_pages == 0
+        };
+        for q in active.extract_if(.., retired) {
             snapshot = None;
-        }
-        for slot in done {
-            if out.send(Msg::QueryDone(slot)).is_err() {
-                break 'outer;
-            }
+            out.send(Msg::Query(q.claim.slot, QueryEvent::Ended(q.claim, Ok(()))))?;
         }
     }
-    // Channel closes on drop; downstream stages drain and exit.
 }
 
 /// Fan-out stage: broadcasts batches to every distributor shard and
-/// routes per-query control messages to the owning shard.
-fn fanout_loop(in_rx: Receiver<Msg>, shard_txs: Vec<Sender<DistMsg>>, ctl_tx: Sender<Ctl>) {
+/// routes per-query messages to the owning shard.
+fn fanout_loop(
+    in_rx: Receiver<Msg<Batch>>,
+    shard_txs: Vec<Sender<Msg<Arc<Batch>>>>,
+    ctl_tx: Sender<Ctl>,
+) -> Result<(), Closed> {
+    let owner = |slot: u32| &shard_txs[slot as usize % shard_txs.len()];
     while let Ok(msg) = in_rx.recv() {
-        match msg {
-            Msg::Batch(mut b) => {
-                // Failpoint on the broadcast: a batch lost here drops rows
-                // for exactly the queries with bits in it — abort their
-                // streams (non-terminal; the preprocessor still owes the
-                // releasing message) and keep broadcasting for co-runners.
-                if let Err(cause) =
-                    chan_fault_at("cjoin.fanout.chan.delay", "cjoin.fanout.chan.abort")
-                {
-                    let msg = format!("fan-out channel fault: {cause}");
-                    for slot in affected_slots(&b) {
-                        let shard = slot as usize % shard_txs.len();
-                        if shard_txs[shard]
-                            .send(DistMsg::StreamAborted(slot, msg.clone()))
-                            .is_err()
-                        {
-                            return;
-                        }
-                        let _ = ctl_tx.try_send(Ctl::Remove { slot, gen: None });
-                    }
-                    continue;
-                }
-                b.fact.materialize_rows();
-                let slots = affected_slots(&b);
-                let b = Arc::new(b);
-                for (shard, tx) in shard_txs.iter().enumerate() {
-                    // Per-shard failpoint on the distributor channels: a
-                    // batch lost on shard `i`'s channel drops rows for
-                    // exactly that shard's queries. Abort their streams
-                    // (mid-chain `StreamAborted` — the slot release stays
-                    // with the preprocessor's terminal message, requested
-                    // early via `Ctl::Remove`) and keep delivering to the
-                    // other shards.
-                    if let Err(cause) =
-                        chan_fault_at("cjoin.shard.chan.delay", "cjoin.shard.chan.abort")
-                    {
-                        let msg = format!("distributor shard {shard} channel fault: {cause}");
-                        for &slot in slots.iter().filter(|&&s| s as usize % shard_txs.len() == shard)
-                        {
-                            if tx.send(DistMsg::StreamAborted(slot, msg.clone())).is_err() {
-                                return;
-                            }
-                            let _ = ctl_tx.try_send(Ctl::Remove { slot, gen: None });
-                        }
-                        continue;
-                    }
-                    if tx.send(DistMsg::Batch(b.clone())).is_err() {
-                        return;
-                    }
-                }
+        let mut batch = match msg {
+            Msg::Batch(batch) => batch,
+            Msg::Query(slot, event) => {
+                owner(slot).send(Msg::Query(slot, event))?;
+                continue;
             }
-            Msg::Admitted(slot, out) => {
-                let shard = slot as usize % shard_txs.len();
-                if shard_txs[shard].send(DistMsg::Admitted(slot, out)).is_err() {
-                    return;
-                }
+        };
+        if let Err(cause) = fault::maybe_delay_abort("cjoin.fanout.chan") {
+            let cause = format!("fan-out channel fault: {cause}");
+            lose_batch(affected_slots(&batch), &cause, owner, &ctl_tx)?;
+            continue;
+        }
+        batch.fact.materialize_rows();
+        let batch = Arc::new(batch);
+        for (shard, tx) in shard_txs.iter().enumerate() {
+            // A batch lost on shard `i`'s channel drops rows for exactly
+            // that shard's queries; the other shards still get it.
+            if let Err(cause) = fault::maybe_delay_abort("cjoin.shard.chan") {
+                let cause = format!("distributor shard {shard} channel fault: {cause}");
+                let mine = affected_slots(&batch)
+                    .into_iter()
+                    .filter(|&s| s as usize % shard_txs.len() == shard);
+                lose_batch(mine, &cause, |_| tx, &ctl_tx)?;
+                continue;
             }
-            Msg::QueryDone(slot) => {
-                let shard = slot as usize % shard_txs.len();
-                if shard_txs[shard].send(DistMsg::QueryDone(slot)).is_err() {
-                    return;
-                }
-            }
-            Msg::QueryAborted(slot, cause) => {
-                let shard = slot as usize % shard_txs.len();
-                if shard_txs[shard]
-                    .send(DistMsg::QueryAborted(slot, cause))
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Msg::StreamAborted(slot, cause) => {
-                let shard = slot as usize % shard_txs.len();
-                if shard_txs[shard]
-                    .send(DistMsg::StreamAborted(slot, cause))
-                    .is_err()
-                {
-                    return;
-                }
-            }
+            tx.send(Msg::Batch(batch.clone()))?;
         }
     }
+    Ok(())
 }
 
 fn dim_stage_loop(
@@ -1345,10 +1265,10 @@ fn dim_stage_loop(
     dims: Arc<Vec<DimData>>,
     ctx: Arc<ExecCtx>,
     metrics: Arc<CjoinMetrics>,
-    in_rx: Receiver<Msg>,
-    out: Sender<Msg>,
+    in_rx: Receiver<Msg<Batch>>,
+    out: Sender<Msg<Batch>>,
     ctl_tx: Sender<Ctl>,
-) {
+) -> Result<(), Closed> {
     let dim = &dims[dim_idx];
     // Scratch reused across batches: the key column of the surviving
     // tuples, gathered once per batch into a typed slice, and the bypass
@@ -1356,65 +1276,45 @@ fn dim_stage_loop(
     let mut keys: Vec<i64> = Vec::new();
     let mut bypass: Vec<u64> = Vec::new();
     while let Ok(msg) = in_rx.recv() {
-        match msg {
-            Msg::Batch(mut batch) => {
-                // Failpoint on this stage's output channel: a lost batch
-                // aborts exactly the queries with bits in it (mid-chain,
-                // so via the non-terminal `StreamAborted` — the slot is
-                // still released by the preprocessor's terminal message,
-                // requested early via `Ctl::Remove`). Co-runners admitted
-                // later and the pipeline itself continue undisturbed.
-                if let Err(cause) =
-                    chan_fault_at("cjoin.dim.chan.delay", "cjoin.dim.chan.abort")
-                {
-                    let msg = format!("dim stage {dim_idx} channel fault: {cause}");
-                    for slot in affected_slots(&batch) {
-                        if out.send(Msg::StreamAborted(slot, msg.clone())).is_err() {
-                            return;
-                        }
-                        // Never block on the ctl channel from mid-chain
-                        // (the preprocessor may be blocked sending to us);
-                        // on a full channel the query simply rides out its
-                        // revolution and QueryDone releases the slot.
-                        let _ = ctl_tx.try_send(Ctl::Remove { slot, gen: None });
-                    }
-                    continue;
-                }
-                let before = batch.fact.len();
-                // Probe, AND, test and compact in one pass; earlier
-                // stages' hit columns compact alongside.
-                let hits = ctx.governor.run(|| {
-                    batch.fact.gather_i64_into(dim.spec.fact_key, &mut keys);
-                    dim.join
-                        .probe(&keys, &mut batch.fact, &mut batch.dim_hits, &mut bypass)
-                });
-                let dropped = before - batch.fact.len();
-                if dropped > 0 {
-                    metrics
-                        .tuples_dropped
-                        .fetch_add(dropped as u64, Ordering::Relaxed);
-                }
-                batch.dim_hits.push(hits);
-                if !batch.fact.is_empty() && out.send(Msg::Batch(batch)).is_err() {
-                    return;
-                }
+        let mut batch = match msg {
+            Msg::Batch(batch) => batch,
+            query => {
+                out.send(query)?;
+                continue;
             }
-            other => {
-                if out.send(other).is_err() {
-                    return;
-                }
-            }
+        };
+        if let Err(cause) = fault::maybe_delay_abort("cjoin.dim.chan") {
+            let cause = format!("dim stage {dim_idx} channel fault: {cause}");
+            lose_batch(affected_slots(&batch), &cause, |_| &out, &ctl_tx)?;
+            continue;
+        }
+        let before = batch.fact.len();
+        // Probe, AND, test and compact in one pass; earlier stages' hit
+        // columns compact alongside.
+        let hits = ctx.governor.run(|| {
+            batch.fact.gather_i64_into(dim.spec.fact_key, &mut keys);
+            dim.join
+                .probe(&keys, &mut batch.fact, &mut batch.dim_hits, &mut bypass)
+        });
+        let dropped = before - batch.fact.len();
+        if dropped > 0 {
+            metrics
+                .tuples_dropped
+                .fetch_add(dropped as u64, Ordering::Relaxed);
+        }
+        batch.dim_hits.push(hits);
+        if !batch.fact.is_empty() {
+            out.send(Msg::Batch(batch))?;
         }
     }
+    Ok(())
 }
 
 fn distributor_loop(
     dims: Arc<Vec<DimData>>,
     ctx: Arc<ExecCtx>,
     metrics: Arc<CjoinMetrics>,
-    free_slots: Arc<Mutex<Vec<u32>>>,
-    pred_cache: Arc<PredCache>,
-    in_rx: Receiver<DistMsg>,
+    in_rx: Receiver<Msg<Arc<Batch>>>,
 ) {
     let mut outputs: HashMap<u32, Box<QueryOutput>> = HashMap::new();
     let mut rowbuf: Vec<u8> = Vec::new();
@@ -1422,25 +1322,15 @@ fn distributor_loop(
         // Per-message panic belt. A panic mid-batch leaves this shard's
         // materialization state ambiguous (which query got which rows),
         // so every open output on the shard is aborted — but their slots
-        // are NOT freed here: the preprocessor still scans for them and
-        // their eventual QueryDone/QueryAborted performs the (single)
-        // slot release. The shard itself keeps serving future queries.
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            distributor_step(
-                msg,
-                &dims,
-                &ctx,
-                &metrics,
-                &free_slots,
-                &pred_cache,
-                &mut outputs,
-                &mut rowbuf,
-            )
-        }));
-        if step.is_err() {
-            ctx.metrics.panics_contained.fetch_add(1, Ordering::Relaxed);
+        // stay taken: the preprocessor still scans for them, and their
+        // terminal messages release them. The shard itself keeps serving
+        // future queries.
+        let step = contain_panic(&ctx.metrics, "cjoin distributor", || {
+            distributor_step(msg, &dims, &ctx, &metrics, &mut outputs, &mut rowbuf)
+        });
+        if let Err(panic) = step {
             for (_, out) in outputs.drain() {
-                out.hub.abort("panic in cjoin distributor");
+                out.hub.abort(panic.clone());
             }
             rowbuf = Vec::new();
         }
@@ -1451,141 +1341,114 @@ fn distributor_loop(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn distributor_step(
-    msg: DistMsg,
-    dims: &Arc<Vec<DimData>>,
-    ctx: &Arc<ExecCtx>,
-    metrics: &Arc<CjoinMetrics>,
-    free_slots: &Arc<Mutex<Vec<u32>>>,
-    pred_cache: &Arc<PredCache>,
+    msg: Msg<Arc<Batch>>,
+    dims: &[DimData],
+    ctx: &ExecCtx,
+    metrics: &CjoinMetrics,
     outputs: &mut HashMap<u32, Box<QueryOutput>>,
     rowbuf: &mut Vec<u8>,
 ) {
-    // Frees the slot of a terminated query: its predicate-cache entries
-    // die with it and the slot returns to the pool. Runs even when the
-    // output was already dropped by the shard-level panic belt — the
-    // release must happen exactly once, and it is this (terminal) message
-    // that performs it. It runs, along with the counter ticks, BEFORE the
-    // query's stream is closed: the moment finish/abort lands, a blocked
-    // consumer can wake, read stats, and re-admit — every externally
-    // observable effect of the termination must already be in place.
-    // (Slot reuse cannot race this shard: a re-admission's `Admitted`
-    // travels the same preprocessor → fan-out → shard channels behind
-    // this message.)
-    let release = |slot: u32| {
-        {
-            let mut cache = pred_cache.lock();
-            for per_dim in cache.iter_mut() {
-                per_dim.retain(|_, (_, s)| *s != slot);
-            }
-        }
-        free_slots.lock().push(slot);
-    };
-    match msg {
-        DistMsg::Admitted(slot, output) => {
+    let batch = match msg {
+        Msg::Batch(batch) => batch,
+        Msg::Query(slot, QueryEvent::Admitted(output)) => {
             outputs.insert(slot, output);
+            return;
         }
-        DistMsg::QueryDone(slot) => {
-            if let Some(mut out) = outputs.remove(&slot) {
-                // A push failure on the final flush must abort, not
-                // finish: finishing would hand the consumer a silently
-                // truncated stream as a successful result.
-                let mut flushed = Ok(());
-                if !out.builder.is_empty() {
-                    let page = out.builder.finish_and_reset();
-                    flushed = out.hub.push_page(Arc::new(page));
+        Msg::Query(slot, QueryEvent::Ended(claim, end)) => {
+            // With no open output (a stream abort or this shard's belt
+            // closed it), the claim just drops, releasing the slot.
+            let Some(mut out) = outputs.remove(&slot) else {
+                return;
+            };
+            // A push failure on the final flush must abort, not finish:
+            // finishing would hand the consumer a silently truncated
+            // stream as a successful result.
+            let end = end.and_then(|()| {
+                if out.builder.is_empty() {
+                    return Ok(());
                 }
-                match flushed {
-                    Ok(()) => {
-                        metrics.completions.fetch_add(1, Ordering::Relaxed);
-                        release(slot);
-                        out.hub.finish();
-                    }
-                    Err(e) => {
-                        metrics.aborts.fetch_add(1, Ordering::Relaxed);
-                        release(slot);
-                        out.hub.abort(format!("cjoin output flush failed: {e}"));
-                    }
-                }
-            } else {
-                release(slot);
-            }
-        }
-        DistMsg::QueryAborted(slot, cause) => {
-            if let Some(out) = outputs.remove(&slot) {
-                metrics.aborts.fetch_add(1, Ordering::Relaxed);
-                release(slot);
-                out.hub.abort(cause);
-            } else {
-                release(slot);
-            }
-        }
-        DistMsg::StreamAborted(slot, cause) => {
-            // Mid-chain abort: close the stream, but the slot stays owned
-            // — the preprocessor's terminal message (ordered behind this
-            // one on the same channels) performs the single release. With
-            // no open output this is a no-op: the terminal message won the
-            // race, and re-issuing a release here would double-free a
-            // possibly re-admitted slot.
-            if let Some(out) = outputs.remove(&slot) {
-                metrics.aborts.fetch_add(1, Ordering::Relaxed);
-                out.hub.abort(cause);
-            }
-        }
-        DistMsg::Batch(batch) => {
-            if outputs.is_empty() {
-                return; // none of this shard's queries are active
-            }
-            let mut flushes: Vec<(u32, Arc<Page>)> = Vec::new();
-            ctx.governor.run(|| {
-                let bits = batch.fact.bits();
-                for t in 0..batch.fact.len() {
-                    // Fact bytes were gathered once per batch at
-                    // fan-out; the per-(tuple × query) loop only
-                    // concatenates slices.
-                    let fact_bytes = batch.fact.row_bytes(t);
-                    for q in iter_ones(bits.tuple(t)) {
-                        let Some(out) = outputs.get_mut(&(q as u32)) else {
-                            continue;
-                        };
-                        rowbuf.clear();
-                        rowbuf.extend_from_slice(fact_bytes);
-                        for &d in &out.dim_order {
-                            let eidx = batch.dim_hits[d as usize][t];
-                            debug_assert_ne!(
-                                eidx,
-                                u32::MAX,
-                                "query joined this dim, so it must have matched"
-                            );
-                            rowbuf.extend_from_slice(dims[d as usize].row(eidx as usize));
-                        }
-                        debug_assert_eq!(rowbuf.len(), out.out_schema.row_size());
-                        if !out.builder.push_encoded(rowbuf) {
-                            let page = out.builder.finish_and_reset();
-                            flushes.push((q as u32, Arc::new(page)));
-                            let ok = out.builder.push_encoded(rowbuf);
-                            debug_assert!(ok);
-                        }
-                        metrics.rows_out.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+                let page = out.builder.finish_and_reset();
+                out.hub
+                    .push_page(Arc::new(page))
+                    .map_err(|e| format!("cjoin output flush failed: {e}"))
             });
-            for (q, page) in flushes {
-                if let Some(out) = outputs.get(&q) {
-                    // A dropped push reader surfaces as `Cancelled` and is
-                    // pruned inside the hub (push_many returns Ok), so an
-                    // Err here is a real delivery failure (e.g. an injected
-                    // channel abort): close this query's output as aborted
-                    // now — the later terminal message would otherwise
-                    // `finish` a truncated stream as a success. The slot is
-                    // NOT freed here; the terminal message still does that.
-                    if let Err(e) = out.hub.push_page(page) {
-                        let out = outputs.remove(&q).expect("output just seen");
-                        metrics.aborts.fetch_add(1, Ordering::Relaxed);
-                        out.hub.abort(format!("cjoin output delivery failed: {e}"));
-                    }
+            // The counter tick and the slot release come BEFORE the
+            // stream closes: the moment finish/abort lands, a blocked
+            // consumer can wake, read stats, and re-admit — every
+            // externally observable effect of the termination must already
+            // be in place. (Slot reuse cannot race this shard: a
+            // re-admission's `Admitted` travels the same channels behind
+            // this message.)
+            let counter = if end.is_ok() {
+                &metrics.completions
+            } else {
+                &metrics.aborts
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            drop(claim);
+            match end {
+                Ok(()) => out.hub.finish(),
+                Err(cause) => out.hub.abort(cause),
+            }
+            return;
+        }
+        Msg::Query(slot, QueryEvent::StreamAborted(cause)) => {
+            if let Some(out) = outputs.remove(&slot) {
+                metrics.aborts.fetch_add(1, Ordering::Relaxed);
+                out.hub.abort(cause);
+            }
+            return;
+        }
+    };
+    if outputs.is_empty() {
+        return; // none of this shard's queries are active
+    }
+    let mut flushes: Vec<(u32, Arc<Page>)> = Vec::new();
+    ctx.governor.run(|| {
+        let bits = batch.fact.bits();
+        for t in 0..batch.fact.len() {
+            // Fact bytes were gathered once per batch at fan-out; the
+            // per-(tuple × query) loop only concatenates slices.
+            let fact_bytes = batch.fact.row_bytes(t);
+            for q in iter_ones(bits.tuple(t)) {
+                let Some(out) = outputs.get_mut(&(q as u32)) else {
+                    continue;
+                };
+                rowbuf.clear();
+                rowbuf.extend_from_slice(fact_bytes);
+                for &d in &out.dim_order {
+                    let eidx = batch.dim_hits[d as usize][t];
+                    debug_assert_ne!(
+                        eidx,
+                        u32::MAX,
+                        "query joined this dim, so it must have matched"
+                    );
+                    rowbuf.extend_from_slice(dims[d as usize].row(eidx as usize));
                 }
+                debug_assert_eq!(rowbuf.len(), out.out_schema.row_size());
+                if !out.builder.push_encoded(rowbuf) {
+                    let page = out.builder.finish_and_reset();
+                    flushes.push((q as u32, Arc::new(page)));
+                    let ok = out.builder.push_encoded(rowbuf);
+                    debug_assert!(ok);
+                }
+                metrics.rows_out.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    });
+    for (q, page) in flushes {
+        if let Some(out) = outputs.get(&q) {
+            // A dropped push reader surfaces as `Cancelled` and is pruned
+            // inside the hub (push_many returns Ok), so an Err here is a
+            // real delivery failure (e.g. an injected channel abort):
+            // close this query's output as aborted now — its terminal
+            // message would otherwise `finish` a truncated stream as a
+            // success. The slot stays taken until that message.
+            if let Err(e) = out.hub.push_page(page) {
+                let out = outputs.remove(&q).expect("output just seen");
+                metrics.aborts.fetch_add(1, Ordering::Relaxed);
+                out.hub.abort(format!("cjoin output delivery failed: {e}"));
             }
         }
     }

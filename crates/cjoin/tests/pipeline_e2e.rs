@@ -2,14 +2,18 @@
 //! output must equal the query-centric join (the oracle), under online
 //! admission, predicate variety, bypassed dimensions, saturation and slot
 //! reuse.
+//!
+//! Every test holds [`fault::test_guard`]: one of them arms the
+//! process-global `page.alloc` failpoint, which every pipeline evaluates
+//! whenever it allocates an output page.
 
 use qs_cjoin::{CjoinError, CjoinPipeline, DimSpec, PipelineSpec};
 use qs_engine::reference::{assert_rows_match, eval};
 use qs_engine::{BatchSource, CoreGovernor, ExecCtx, Metrics};
 use qs_plan::{Expr, LogicalPlan, PlanBuilder, StarQuery};
 use qs_storage::{
-    BufferPool, BufferPoolConfig, Catalog, DataType, DiskConfig, DiskModel, Schema, TableBuilder,
-    Value,
+    fault, BufferPool, BufferPoolConfig, Catalog, DataType, DiskConfig, DiskModel, Schema,
+    TableBuilder, Value,
 };
 use std::sync::Arc;
 
@@ -39,14 +43,26 @@ fn catalog() -> Arc<Catalog> {
     cat
 }
 
+/// Take the failpoint registry for the whole test, disarmed.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    let guard = fault::test_guard();
+    fault::disarm();
+    guard
+}
+
 fn ctx() -> Arc<ExecCtx> {
+    ctx_with_cores(0)
+}
+
+/// `cores` core permits (0 = ungoverned).
+fn ctx_with_cores(cores: usize) -> Arc<ExecCtx> {
     let metrics = Metrics::new();
     Arc::new(ExecCtx {
         pool: Arc::new(BufferPool::new(
             BufferPoolConfig::unbounded(),
             Arc::new(DiskModel::new(DiskConfig::memory_resident())),
         )),
-        governor: CoreGovernor::new(0, metrics.clone()),
+        governor: CoreGovernor::new(cores, metrics.clone()),
         workers: qs_engine::WorkerPool::new(1, metrics.clone()),
         metrics,
         out_page_bytes: 256,
@@ -100,6 +116,7 @@ fn drain(mut r: Box<dyn BatchSource>) -> Vec<Vec<Value>> {
 
 #[test]
 fn single_query_matches_query_centric_join() {
+    let _serial = serial();
     let cat = catalog();
     let pipe = CjoinPipeline::new(ctx(), &cat, &spec()).unwrap();
     let plan = star_plan(&cat, Some(Expr::eq(1, 1i64)), Some(None));
@@ -118,6 +135,7 @@ fn single_query_matches_query_centric_join() {
 
 #[test]
 fn query_bypassing_a_dimension() {
+    let _serial = serial();
     let cat = catalog();
     let pipe = CjoinPipeline::new(ctx(), &cat, &spec()).unwrap();
     // Only joins d1; d2 is bypassed for this query.
@@ -132,6 +150,7 @@ fn query_bypassing_a_dimension() {
 
 #[test]
 fn concurrent_queries_with_different_predicates() {
+    let _serial = serial();
     let cat = catalog();
     let pipe = CjoinPipeline::new(ctx(), &cat, &spec()).unwrap();
     let plans: Vec<LogicalPlan> = vec![
@@ -155,6 +174,7 @@ fn concurrent_queries_with_different_predicates() {
 
 #[test]
 fn fact_predicate_is_applied_by_preprocessor() {
+    let _serial = serial();
     let cat = catalog();
     let pipe = CjoinPipeline::new(ctx(), &cat, &spec()).unwrap();
     let plan = {
@@ -178,6 +198,7 @@ fn fact_predicate_is_applied_by_preprocessor() {
 
 #[test]
 fn online_admission_while_another_runs() {
+    let _serial = serial();
     let cat = catalog();
     let pipe = Arc::new(CjoinPipeline::new(ctx(), &cat, &spec()).unwrap());
     let plan1 = star_plan(&cat, None, Some(None));
@@ -193,6 +214,7 @@ fn online_admission_while_another_runs() {
 
 #[test]
 fn read_ahead_on_a_disk_resident_pool_reads_each_scanned_page_once() {
+    let _serial = serial();
     let cat = catalog();
     let fact_pages = cat.get("fact").unwrap().page_count();
     assert_eq!(fact_pages, 40);
@@ -237,12 +259,19 @@ fn read_ahead_on_a_disk_resident_pool_reads_each_scanned_page_once() {
 
 #[test]
 fn saturation_and_slot_reuse() {
+    let _serial = serial();
     let cat = catalog();
-    let pipe = CjoinPipeline::new(ctx(), &cat, &spec()).unwrap();
+    // One core permit, held while filling every slot, so no query can
+    // finish and free its slot before the saturation check.
+    let ctx = ctx_with_cores(1);
+    let pipe = CjoinPipeline::new(ctx.clone(), &cat, &spec()).unwrap();
     let plan = star_plan(&cat, None, None);
     let star = StarQuery::detect(&plan, &cat).unwrap();
-    let held: Vec<_> = (0..4).map(|_| pipe.admit(&star).unwrap()).collect();
-    assert!(matches!(pipe.admit(&star), Err(CjoinError::Saturated)));
+    let held: Vec<_> = ctx.governor.run(|| {
+        let held = (0..4).map(|_| pipe.admit(&star).unwrap()).collect();
+        assert!(matches!(pipe.admit(&star), Err(CjoinError::Saturated)));
+        held
+    });
     // Drain all four; slots come back and a new admission succeeds.
     let expected = eval(&plan, &cat).unwrap();
     for q in held {
@@ -255,6 +284,7 @@ fn saturation_and_slot_reuse() {
 
 #[test]
 fn incompatible_queries_rejected() {
+    let _serial = serial();
     let cat = catalog();
     let pipe = CjoinPipeline::new(ctx(), &cat, &spec()).unwrap();
     // wrong fact table
@@ -280,6 +310,7 @@ fn incompatible_queries_rejected() {
 
 #[test]
 fn dim_order_of_query_is_respected() {
+    let _serial = serial();
     // A query joining d2 before d1 must get columns in *its* order.
     let cat = catalog();
     let pipe = CjoinPipeline::new(ctx(), &cat, &spec()).unwrap();
@@ -302,6 +333,7 @@ fn dim_order_of_query_is_respected() {
 
 #[test]
 fn pipeline_shutdown_aborts_open_queries() {
+    let _serial = serial();
     let cat = catalog();
     let pipe = CjoinPipeline::new(ctx(), &cat, &spec()).unwrap();
     let plan = star_plan(&cat, None, None);
@@ -327,6 +359,7 @@ fn pipeline_shutdown_aborts_open_queries() {
 /// exception.)
 #[test]
 fn stale_cancel_after_slot_reuse_is_a_noop() {
+    let _serial = serial();
     let cat = catalog();
     let pipe = CjoinPipeline::new(ctx(), &cat, &spec()).unwrap();
     let plan = star_plan(&cat, None, None);
@@ -355,15 +388,22 @@ fn stale_cancel_after_slot_reuse_is_a_noop() {
 
 #[test]
 fn admission_predicate_dedup_copies_bits() {
+    let _serial = serial();
     let cat = catalog();
-    let pipe = CjoinPipeline::new(ctx(), &cat, &spec()).unwrap();
+    // Both admissions happen while the test holds the only core permit,
+    // so q1 cannot finish (and drop its cache entries) before q2 arrives.
+    let ctx = ctx_with_cores(1);
+    let pipe = CjoinPipeline::new(ctx.clone(), &cat, &spec()).unwrap();
     let plan = star_plan(&cat, Some(Expr::eq(1, 1i64)), Some(None));
     let star = StarQuery::detect(&plan, &cat).unwrap();
-    let q1 = pipe.admit(&star).unwrap();
-    let evals_after_first = pipe.stats().admission_evals;
+    let (q1, q2, evals_after_first) = ctx.governor.run(|| {
+        let q1 = pipe.admit(&star).unwrap();
+        let evals_after_first = pipe.stats().admission_evals;
+        // Identical predicates on both dims: the second admission copies
+        // bits.
+        (q1, pipe.admit(&star).unwrap(), evals_after_first)
+    });
     assert!(evals_after_first > 0);
-    // Identical predicates on both dims: the second admission copies bits.
-    let q2 = pipe.admit(&star).unwrap();
     let s = pipe.stats();
     assert_eq!(
         s.admission_evals, evals_after_first,
@@ -383,12 +423,17 @@ fn admission_predicate_dedup_copies_bits() {
 
 #[test]
 fn dedup_does_not_alias_different_predicates() {
+    let _serial = serial();
     let cat = catalog();
-    let pipe = CjoinPipeline::new(ctx(), &cat, &spec()).unwrap();
+    // One core permit, held while admitting: q1 cannot finish first.
+    let ctx = ctx_with_cores(1);
+    let pipe = CjoinPipeline::new(ctx.clone(), &cat, &spec()).unwrap();
     let p1 = star_plan(&cat, Some(Expr::eq(1, 1i64)), Some(None));
     let p2 = star_plan(&cat, Some(Expr::eq(1, 2i64)), Some(None));
-    let q1 = pipe.admit(&StarQuery::detect(&p1, &cat).unwrap()).unwrap();
-    let q2 = pipe.admit(&StarQuery::detect(&p2, &cat).unwrap()).unwrap();
+    let (q1, q2) = ctx.governor.run(|| {
+        let q1 = pipe.admit(&StarQuery::detect(&p1, &cat).unwrap()).unwrap();
+        (q1, pipe.admit(&StarQuery::detect(&p2, &cat).unwrap()).unwrap())
+    });
     assert_eq!(pipe.stats().admission_dedup_hits, 1, "only the d2 no-predicate dim dedups");
     assert_rows_match(drain(q1.reader), eval(&p1, &cat).unwrap(), 0.0);
     assert_rows_match(drain(q2.reader), eval(&p2, &cat).unwrap(), 0.0);
@@ -396,6 +441,7 @@ fn dedup_does_not_alias_different_predicates() {
 
 #[test]
 fn early_cancellation_frees_the_slot_and_finishes_the_stream() {
+    let _serial = serial();
     let cat = catalog();
     let pipe = CjoinPipeline::new(ctx(), &cat, &spec()).unwrap();
     let plan = star_plan(&cat, None, Some(None));
@@ -414,4 +460,51 @@ fn early_cancellation_frees_the_slot_and_finishes_the_stream() {
     q.cancel.cancel();
     let q2 = pipe.admit(&star).unwrap();
     assert_rows_match(drain(q2.reader), eval(&plan, &cat).unwrap(), 0.0);
+}
+
+/// An admission that fails on the submitter's thread — here its output
+/// page allocation, after its dimension bits and predicate-cache entries
+/// were written — gives its slot back exactly once, cache entries
+/// included: a later admission of the same dimension predicate evaluates
+/// it instead of copying bits from the slot's next occupant.
+#[test]
+fn failed_admission_releases_its_slot_once() {
+    let _serial = serial();
+    let cat = catalog();
+    // One core permit, held while admitting, so no query can finish (and
+    // so purge the cache itself) before the checks.
+    let ctx = ctx_with_cores(1);
+    let pipe = CjoinPipeline::new(ctx.clone(), &cat, &spec()).unwrap();
+    let failed = star_plan(&cat, Some(Expr::eq(1, 1i64)), Some(None));
+    let other = star_plan(&cat, Some(Expr::eq(1, 2i64)), None);
+    let failed_star = StarQuery::detect(&failed, &cat).unwrap();
+    let other_star = StarQuery::detect(&other, &cat).unwrap();
+    let (q_other, q) = ctx.governor.run(|| {
+        fault::arm(0xA110C, &[("page.alloc", fault::FaultSpec::prob(1.0))]);
+        let admitted = pipe.admit(&failed_star);
+        fault::disarm();
+        match admitted {
+            Err(CjoinError::Admission(msg)) => assert!(msg.contains("page.alloc"), "{msg}"),
+            Err(e) => panic!("expected an admission failure, got {e}"),
+            Ok(_) => panic!("admission succeeded with `page.alloc` armed"),
+        }
+        assert_eq!(
+            pipe.free_slots(),
+            4,
+            "the failed admission's slot came back"
+        );
+        // `other` takes the failed admission's slot, so a surviving cache
+        // entry of it would hand `other`'s bits to the re-admission.
+        let q_other = pipe.admit(&other_star).unwrap();
+        let q = pipe.admit(&failed_star).unwrap();
+        assert_eq!(pipe.free_slots(), 2);
+        (q_other, q)
+    });
+    assert_eq!(
+        pipe.stats().admission_dedup_hits,
+        0,
+        "re-admission was evaluated"
+    );
+    assert_rows_match(drain(q.reader), eval(&failed, &cat).unwrap(), 0.0);
+    assert_rows_match(drain(q_other.reader), eval(&other, &cat).unwrap(), 0.0);
 }

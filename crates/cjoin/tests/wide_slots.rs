@@ -2,11 +2,11 @@
 //! three query-bit words per tuple, and 130 star queries held admitted at
 //! once put bits at slots ≥ 64 and ≥ 128 through the preprocessor, every
 //! shared join, the fan-out and the distributor. Every query must match
-//! the query-centric oracle; with a dim-stage channel fault armed,
-//! exactly the queries whose bits the lost batches carried must abort.
+//! the query-centric oracle; with a stage-channel fault armed, exactly
+//! the queries whose bits the lost batches carried must abort.
 //!
-//! Both tests hold [`fault::test_guard`]: the dim-stage failpoint is
-//! process-global and the pipeline evaluates it on every batch.
+//! Both tests hold [`fault::test_guard`]: the channel failpoints are
+//! process-global and the pipeline evaluates them on every batch.
 
 use qs_cjoin::{CjoinPipeline, CjoinQuery, DimSpec, PipelineSpec};
 use qs_engine::reference::{assert_rows_match, eval};
@@ -160,47 +160,85 @@ fn three_word_slots_cross_every_stage_and_match_the_oracle() {
     assert_eq!(pipe.free_slots(), SLOTS, "every slot returned");
 }
 
+/// Which queries lose rows when every batch at a failpoint is lost.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Lost {
+    /// The preprocessor's send: every active query.
+    Every,
+    /// A dim stage: the queries whose fact predicate passes a row.
+    FactRows,
+    /// The fan-out or a shard channel, past every join: the queries with
+    /// at least one joined row.
+    JoinedRows,
+}
+
 #[test]
-fn dim_channel_abort_at_three_words_aborts_only_the_affected_slots() {
+fn channel_aborts_at_three_words_abort_only_the_affected_slots() {
     let _guard = fault::test_guard();
     fault::disarm();
     let cat = catalog();
     let ctx = ctx();
     let pipe = CjoinPipeline::new(ctx.clone(), &cat, &spec()).unwrap();
     let plans: Vec<LogicalPlan> = (0..SLOTS).map(|i| plan(&cat, i)).collect();
-    // Every batch is lost at the first dim stage, so a query is affected
-    // iff its fact predicate lets any row through the preprocessor.
-    fault::arm(0x130, &[("cjoin.dim.chan.abort", fault::FaultSpec::prob(1.0))]);
-    let queries = admit_all_at_once(&pipe, &ctx, &cat, &plans);
-    let mut aborted = Vec::new();
-    for (q, plan) in queries.into_iter().zip(&plans) {
-        let affected = plan_scans_any_fact_row(plan, &cat);
-        match drain(q.reader) {
-            Err(EngineError::Aborted(msg)) => {
-                assert!(affected, "slot {}: unaffected query aborted: {msg}", q.slot);
-                assert!(msg.contains("cjoin.dim.chan.abort"), "slot {}: {msg}", q.slot);
-                aborted.push(q.slot);
+    for (point, lost) in [
+        ("cjoin.chan", Lost::Every),
+        ("cjoin.dim.chan", Lost::FactRows),
+        ("cjoin.fanout.chan", Lost::JoinedRows),
+        ("cjoin.shard.chan", Lost::JoinedRows),
+    ] {
+        let abort = format!("{point}.abort");
+        fault::arm(0x130, &[(abort.as_str(), fault::FaultSpec::prob(1.0))]);
+        let queries = admit_all_at_once(&pipe, &ctx, &cat, &plans);
+        let mut aborted = Vec::new();
+        for (q, plan) in queries.into_iter().zip(&plans) {
+            let affected = match lost {
+                Lost::Every => true,
+                Lost::FactRows => plan_scans_any_fact_row(plan, &cat),
+                Lost::JoinedRows => !eval(plan, &cat).unwrap().is_empty(),
+            };
+            match drain(q.reader) {
+                Err(EngineError::Aborted(msg)) => {
+                    assert!(
+                        affected,
+                        "{point}, slot {}: unaffected query aborted: {msg}",
+                        q.slot
+                    );
+                    assert!(msg.contains(&abort), "{point}, slot {}: {msg}", q.slot);
+                    aborted.push(q.slot);
+                }
+                Ok(rows) => {
+                    assert!(
+                        !affected,
+                        "{point}, slot {}: affected query finished",
+                        q.slot
+                    );
+                    assert_rows_match(rows, eval(plan, &cat).unwrap(), 0.0);
+                }
+                Err(e) => panic!("{point}, slot {}: unexpected error {e}", q.slot),
             }
-            Ok(rows) => {
-                assert!(!affected, "slot {}: affected query finished", q.slot);
-                assert_rows_match(rows, eval(plan, &cat).unwrap(), 0.0);
-            }
-            Err(e) => panic!("slot {}: unexpected error {e}", q.slot),
         }
-    }
-    fault::disarm();
-    assert!(aborted.iter().any(|&s| s >= 64) && aborted.iter().any(|&s| s >= 128));
-    assert!(aborted.len() < SLOTS, "the fault aborted every query");
+        fault::disarm();
+        assert!(aborted.iter().any(|&s| s >= 64) && aborted.iter().any(|&s| s >= 128));
+        if lost == Lost::Every {
+            assert_eq!(aborted.len(), SLOTS, "{point}");
+        } else {
+            assert!(aborted.len() < SLOTS, "{point} aborted every query");
+        }
 
-    // The pipeline lives on: once disarmed, a full house runs clean.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while pipe.free_slots() != SLOTS {
-        assert!(std::time::Instant::now() < deadline, "slots never freed");
-        std::thread::yield_now();
-    }
-    let queries = admit_all_at_once(&pipe, &ctx, &cat, &plans);
-    for (q, plan) in queries.into_iter().zip(&plans) {
-        assert_rows_match(drain(q.reader).unwrap(), eval(plan, &cat).unwrap(), 0.0);
+        // Every slot comes back, and the pipeline then runs a clean full
+        // house.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while pipe.free_slots() != SLOTS {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{point}: slots never freed"
+            );
+            std::thread::yield_now();
+        }
+        let queries = admit_all_at_once(&pipe, &ctx, &cat, &plans);
+        for (q, plan) in queries.into_iter().zip(&plans) {
+            assert_rows_match(drain(q.reader).unwrap(), eval(plan, &cat).unwrap(), 0.0);
+        }
     }
 }
 

@@ -110,11 +110,6 @@ pub struct DbConfig {
     /// Override the per-stage SP policy implied by `mode` (e.g.
     /// Scenario I uses SP at the scan stage only).
     pub sharing_override: Option<SharingPolicy>,
-    /// Push-mode SP copy shape: selection-proportional copies for sparse
-    /// batches instead of full deep page copies. Diverges from the
-    /// paper's page-copy cost model, hence flagged (default off). See
-    /// `EngineConfig::compact_push_copies`.
-    pub compact_push_copies: bool,
     /// CJOIN pipeline shape; required for the GQP modes.
     pub pipeline: Option<PipelineSpec>,
     /// Overload valve: bounded admission queue ahead of the engine.
@@ -134,7 +129,6 @@ impl DbConfig {
             fifo_capacity: 16,
             out_page_bytes: qs_storage::DEFAULT_PAGE_BYTES,
             sharing_override: None,
-            compact_push_copies: false,
             pipeline: None,
             admission: None,
         }
@@ -305,7 +299,6 @@ impl SharingDb {
                 out_page_bytes: config.out_page_bytes,
                 sharing: config.sharing_policy(),
                 admission: config.admission.clone(),
-                compact_push_copies: config.compact_push_copies,
                 ..Default::default()
             },
         );

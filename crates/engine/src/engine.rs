@@ -125,12 +125,6 @@ pub struct EngineConfig {
     pub max_workers: usize,
     /// SP policy.
     pub sharing: SharingPolicy,
-    /// Push-mode SP copy shape: when `true`, the per-extra-consumer copy
-    /// of a *sparse* batch materializes only the selected tuples into a
-    /// fresh dense page (selection-proportional cost) instead of deep-
-    /// copying the whole page. Off by default — the full-page copy is the
-    /// paper's page-copy model; this flag is the measured divergence.
-    pub compact_push_copies: bool,
     /// Overload valve: when set, every submission must first acquire an
     /// admission permit from a bounded queue, and excess load is shed
     /// with [`EngineError::Shed`] (see [`AdmissionGate`]). `None` (the
@@ -148,7 +142,6 @@ impl Default for EngineConfig {
             initial_workers: 1,
             max_workers: 1024,
             sharing: SharingPolicy::query_centric(),
-            compact_push_copies: false,
             admission: None,
         }
     }
@@ -669,9 +662,6 @@ impl QpipeEngine {
             self.ctx.metrics.clone(),
             self.ctx.governor.clone(),
         );
-        if self.config.compact_push_copies {
-            hub.set_compact_copies(true);
-        }
         if sharing {
             stage.registry().register(signature(plan), &hub);
         }

@@ -11,7 +11,7 @@
 
 use crate::error::EngineError;
 use parking_lot::{Condvar, Mutex};
-use qs_storage::FactBatch;
+use qs_storage::{fault, FactBatch};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -32,22 +32,6 @@ struct FifoState {
     finished: bool,
     aborted: Option<String>,
     reader_alive: bool,
-}
-
-/// Chaos failpoint at a channel boundary: an injected scheduling stall
-/// (`*_delay` point) and/or an injected producer abort (`*_abort` point).
-/// Disarmed cost: one relaxed atomic load before the channel lock.
-pub(crate) fn channel_fault(delay_point: &str, abort_point: &str) -> Result<(), EngineError> {
-    if !qs_storage::fault::armed() {
-        return Ok(());
-    }
-    qs_storage::fault::maybe_delay(delay_point);
-    if qs_storage::fault::should_fire(abort_point) {
-        return Err(EngineError::Aborted(format!(
-            "injected fault `{abort_point}`"
-        )));
-    }
-    Ok(())
 }
 
 /// A single-producer single-consumer bounded batch queue.
@@ -80,7 +64,7 @@ impl FifoBuffer {
     /// [`EngineError::Cancelled`] if the reader is gone, or with the abort
     /// cause if the stream was aborted.
     pub fn push(&self, batch: EngineBatch) -> Result<(), EngineError> {
-        channel_fault("fifo.push.delay", "fifo.push.abort")?;
+        fault::maybe_delay_abort("fifo.push").map_err(EngineError::Aborted)?;
         let mut st = self.state.lock();
         loop {
             if let Some(msg) = &st.aborted {
@@ -105,7 +89,7 @@ impl FifoBuffer {
     /// in groups (see `ops::EmitBuffer`). Drains `batches`; blocks while
     /// the queue is full, exactly like repeated [`Self::push`].
     pub fn push_many(&self, batches: &mut Vec<EngineBatch>) -> Result<(), EngineError> {
-        channel_fault("fifo.push.delay", "fifo.push.abort")?;
+        fault::maybe_delay_abort("fifo.push").map_err(EngineError::Aborted)?;
         let mut st = self.state.lock();
         for batch in batches.drain(..) {
             loop {

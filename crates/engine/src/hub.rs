@@ -59,11 +59,6 @@ pub struct OutputHub {
     metrics: Arc<Metrics>,
     governor: Arc<CoreGovernor>,
     spl: Option<Arc<SharedPagesList>>,
-    /// When set, push-mode extra-consumer copies of *sparse* batches
-    /// materialize only the selected tuples (selection-proportional cost)
-    /// instead of deep-copying the whole page. See
-    /// `EngineConfig::compact_push_copies`.
-    compact_copies: std::sync::atomic::AtomicBool,
     state: Mutex<HubState>,
 }
 
@@ -87,7 +82,6 @@ impl OutputHub {
                     metrics,
                     governor,
                     spl: Some(spl),
-                    compact_copies: std::sync::atomic::AtomicBool::new(false),
                     state: Mutex::new(HubState {
                         started: false,
                         finished: false,
@@ -105,7 +99,6 @@ impl OutputHub {
                     metrics,
                     governor,
                     spl: None,
-                    compact_copies: std::sync::atomic::AtomicBool::new(false),
                     state: Mutex::new(HubState {
                         started: false,
                         finished: false,
@@ -125,12 +118,6 @@ impl OutputHub {
     /// The stage this hub's producer runs at (metrics label).
     pub fn stage(&self) -> StageKind {
         self.stage
-    }
-
-    /// Switch push-mode extra-consumer copies of sparse batches to the
-    /// selection-proportional shape (see `EngineConfig::compact_push_copies`).
-    pub fn set_compact_copies(&self, on: bool) {
-        self.compact_copies.store(on, Ordering::Relaxed);
     }
 
     /// Attempt to attach an additional consumer (an SP hit), with the
@@ -230,23 +217,15 @@ impl OutputHub {
                     // First live consumer receives the original batches;
                     // every further one costs a page copy per batch on
                     // this thread (the push-based SP serialization point,
-                    // unchanged by grouping). The copy is a full deep page
-                    // copy by default; with `compact_copies` a sparse
-                    // batch instead materializes only its selected tuples.
-                    let compact = self.compact_copies.load(Ordering::Relaxed);
+                    // unchanged by grouping): a full deep page copy, the
+                    // paper's SP-FIFO cost model.
                     let mut to_send: Vec<EngineBatch> = if delivered == 0 {
                         batches.clone()
                     } else {
                         let copies = self.governor.run(|| {
                             batches
                                 .iter()
-                                .map(|b| {
-                                    Arc::new(if compact && !b.is_full() {
-                                        b.compact_copy()
-                                    } else {
-                                        b.deep_copy()
-                                    })
-                                })
+                                .map(|b| Arc::new(b.deep_copy()))
                                 .collect::<Vec<_>>()
                         });
                         let bytes: u64 =
@@ -455,62 +434,5 @@ mod tests {
         let (h, primary, _) = hub(ShareMode::Push);
         drop(primary);
         assert!(matches!(h.push(batch(1)), Err(EngineError::Cancelled)));
-    }
-
-    /// `compact_copies`: a sparse batch's per-consumer copy materializes
-    /// only the selected tuples — fewer bytes than the deep page copy —
-    /// and the subscriber's values are identical either way.
-    #[test]
-    fn push_mode_compact_copies_shrink_sparse_batches() {
-        let s = Schema::from_pairs(&[("k", DataType::Int)]);
-        let rows: Vec<Vec<Value>> = (0..64).map(|i| vec![Value::Int(i)]).collect();
-        let page = Arc::new(Page::from_values(&s, &rows).unwrap());
-        // 3 of 64 tuples survive: selection-proportional beats page-proportional.
-        let sparse = || Arc::new(FactBatch::all(page.clone()).prefix(3));
-
-        let mut observed = Vec::new();
-        for compact in [false, true] {
-            let (h, primary, m) = hub(ShareMode::Push);
-            h.set_compact_copies(compact);
-            let sub = h.subscribe().expect("pre-start subscribe");
-            let producer = {
-                let h = h.clone();
-                let b = sparse();
-                std::thread::spawn(move || {
-                    h.push(b).unwrap();
-                    h.finish();
-                })
-            };
-            let first: Vec<i64> = {
-                let mut src = primary;
-                let mut out = Vec::new();
-                while let Some(b) = src.next_batch().unwrap() {
-                    for t in 0..b.len() {
-                        out.push(b.page().row(b.sel()[t] as usize).i64_col(0));
-                    }
-                }
-                out
-            };
-            let copied: Vec<i64> = {
-                let mut src = sub;
-                let mut out = Vec::new();
-                while let Some(b) = src.next_batch().unwrap() {
-                    for t in 0..b.len() {
-                        out.push(b.page().row(b.sel()[t] as usize).i64_col(0));
-                    }
-                }
-                out
-            };
-            producer.join().unwrap();
-            assert_eq!(first, vec![0, 1, 2]);
-            assert_eq!(copied, first, "copy shape must be invisible in values");
-            observed.push(m.snapshot().bytes_copied);
-        }
-        assert!(
-            observed[1] < observed[0],
-            "compact copy ({} B) must be smaller than the deep page copy ({} B)",
-            observed[1],
-            observed[0]
-        );
     }
 }

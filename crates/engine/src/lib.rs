@@ -55,7 +55,7 @@ pub use metrics::{Metrics, MetricsSnapshot, StageKind, ALL_STAGES, NUM_STAGES};
 pub use ops::{ExecCtx, PhysicalOp};
 pub use pool::WorkerPool;
 pub use spl::{SharedPagesList, SplReader};
-pub use stage::{Packet, SpRegistry, Stage};
+pub use stage::{contain_panic, Packet, SpRegistry, Stage};
 
 /// Result alias for engine operations.
 pub type Result<T> = std::result::Result<T, EngineError>;

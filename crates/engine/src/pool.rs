@@ -17,8 +17,8 @@
 //!    when every pool thread is busy serving another operator (or when
 //!    the pool has no threads at all — `workers = 1` runs everything
 //!    inline on the caller).
-//! 3. **Contained**: a panicking task is caught with the same
-//!    `catch_unwind` discipline as the stage workers; `run` reports it
+//! 3. **Contained**: a panicking task is caught by the same belt as the
+//!    stage workers ([`crate::stage::contain_panic`]); `run` reports it
 //!    as an [`EngineError::Aborted`] for the *calling* query only, after
 //!    all sibling tasks have still run to completion (their borrows must
 //!    not outlive a poisoned early return).
@@ -33,12 +33,11 @@
 //! reallocated per `run`.
 
 use crate::error::EngineError;
-use crate::fifo::channel_fault;
 use crate::metrics::Metrics;
-use crate::stage::panic_message;
+use crate::stage::contain_panic;
 use parking_lot::{Condvar, Mutex};
+use qs_storage::fault;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -97,16 +96,11 @@ impl RunState {
     /// the first failure message becomes the run's error.
     fn exec(&self, task: ErasedTask) {
         self.metrics.pool_tasks.fetch_add(1, Ordering::Relaxed);
-        let res = match channel_fault("pool.task.delay", "pool.task.abort") {
-            Ok(()) => catch_unwind(AssertUnwindSafe(task)).map_err(|payload| {
-                self.metrics.panics_contained.fetch_add(1, Ordering::Relaxed);
-                format!("panic in pool task: {}", panic_message(&*payload))
-            }),
-            // Injected abort: the task is dropped unexecuted and the run
-            // fails, exactly like a panic — the caller must discard the
-            // batch's outputs either way.
-            Err(e) => Err(e.to_string()),
-        };
+        // An injected abort drops the task unexecuted and fails the run,
+        // exactly like a panic — the caller must discard the batch's
+        // outputs either way.
+        let res = fault::maybe_delay_abort("pool.task")
+            .and_then(|()| contain_panic(&self.metrics, "pool task", task));
         let mut done = self.done.lock();
         done.completed += 1;
         if let Err(msg) = res {

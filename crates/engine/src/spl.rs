@@ -20,6 +20,7 @@
 use crate::error::EngineError;
 use crate::fifo::{BatchSource, EngineBatch};
 use parking_lot::{Condvar, Mutex};
+use qs_storage::fault;
 
 struct SplState {
     batches: Vec<EngineBatch>,
@@ -48,7 +49,7 @@ impl SharedPagesList {
 
     /// Append a batch (producer side). A no-op error after abort.
     pub fn append(&self, batch: EngineBatch) -> Result<(), EngineError> {
-        crate::fifo::channel_fault("spl.append.delay", "spl.append.abort")?;
+        fault::maybe_delay_abort("spl.append").map_err(EngineError::Aborted)?;
         let mut st = self.state.lock();
         if let Some(msg) = &st.aborted {
             return Err(EngineError::Aborted(msg.clone()));
@@ -64,7 +65,7 @@ impl SharedPagesList {
     /// buffer tiny batches so readers are not woken per page). Drains
     /// `batches`.
     pub fn append_many(&self, batches: &mut Vec<EngineBatch>) -> Result<(), EngineError> {
-        crate::fifo::channel_fault("spl.append.delay", "spl.append.abort")?;
+        fault::maybe_delay_abort("spl.append").map_err(EngineError::Aborted)?;
         let mut st = self.state.lock();
         if let Some(msg) = &st.aborted {
             return Err(EngineError::Aborted(msg.clone()));

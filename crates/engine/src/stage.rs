@@ -26,12 +26,14 @@
 use crate::ctl::QueryCtl;
 use crate::fifo::BatchSource;
 use crate::hub::OutputHub;
-use crate::metrics::StageKind;
+use crate::metrics::{Metrics, StageKind};
 use crate::ops::{execute, ExecCtx, PhysicalOp};
 use crate::EngineError;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
+use qs_storage::fault;
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -93,11 +95,8 @@ impl SpRegistry {
         // lookup. Either way the registry degrades to an SP miss — the
         // query builds its own packet, which is always correct — and
         // never to a torn subscription.
-        if qs_storage::fault::armed() {
-            qs_storage::fault::maybe_delay("sp.registry.delay");
-            if qs_storage::fault::should_fire("sp.registry.abort") {
-                return None;
-            }
+        if fault::maybe_delay_abort("sp.registry").is_err() {
+            return None;
         }
         let mut map = self.inner.lock();
         if let Some(weak) = map.get(&sig) {
@@ -116,11 +115,8 @@ impl SpRegistry {
         // `sp.registry.abort` here skips publication: the packet still
         // runs (its own query drains it) but later identical sub-plans
         // miss instead of sharing — degraded sharing, never lost rows.
-        if qs_storage::fault::armed() {
-            qs_storage::fault::maybe_delay("sp.registry.delay");
-            if qs_storage::fault::should_fire("sp.registry.abort") {
-                return;
-            }
+        if fault::maybe_delay_abort("sp.registry").is_err() {
+            return;
         }
         let mut map = self.inner.lock();
         map.insert(sig, Arc::downgrade(hub));
@@ -243,7 +239,7 @@ impl Stage {
     /// once the thread exists, so no dispatch can count on a worker that
     /// the OS refused (or the `stage.spawn` failpoint vetoed).
     fn spawn_worker(inner: &Arc<StageInner>) -> std::io::Result<()> {
-        if qs_storage::fault::should_fire("stage.spawn") {
+        if fault::should_fire("stage.spawn") {
             return Err(std::io::Error::other("injected fault 'stage.spawn'"));
         }
         let worker = inner.clone();
@@ -275,32 +271,25 @@ fn worker_loop(inner: &StageInner) {
         // the drop chain below cancels its upstream, and the worker (and
         // its credit) survive for co-runners.
         let ctl = pkt.ctl.clone().filter(|_| pkt.exclusive);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            execute(
-                &pkt.op,
-                &mut pkt.inputs,
-                &pkt.hub,
-                &inner.ctx,
-                ctl.as_deref(),
-            )
-        }));
+        let result = contain_panic(
+            &inner.ctx.metrics,
+            format_args!("{} stage", inner.kind.name()),
+            || {
+                execute(
+                    &pkt.op,
+                    &mut pkt.inputs,
+                    &pkt.hub,
+                    &inner.ctx,
+                    ctl.as_deref(),
+                )
+            },
+        );
         let outcome = match result {
             Ok(Ok(())) => Ok(()),
             // Every consumer is gone; nothing to tell.
             Ok(Err(EngineError::Cancelled)) => Err("cancelled".to_string()),
             Ok(Err(e)) => Err(e.to_string()),
-            Err(payload) => {
-                inner
-                    .ctx
-                    .metrics
-                    .panics_contained
-                    .fetch_add(1, Ordering::Relaxed);
-                Err(format!(
-                    "panic in {} stage: {}",
-                    inner.kind.name(),
-                    panic_message(&payload)
-                ))
-            }
+            Err(panic) => Err(panic),
         };
         // The operator has returned, so this worker is idle: return its
         // credit *before* the consumers can see the end of the stream.
@@ -319,6 +308,22 @@ fn worker_loop(inner: &StageInner) {
     }
     // The queue closed: the engine is being dropped.
     inner.workers.fetch_sub(1, Ordering::Release);
+}
+
+/// The engine's one panic belt: run `f`, and if it unwinds, count the
+/// containment in `panics_contained` and return
+/// `Err("panic in <what>: <payload>")` for the caller to turn into its
+/// own typed abort. Stage workers, pool tasks and the CJOIN pipeline's
+/// stage, admission and distributor sites all contain through here.
+pub fn contain_panic<R>(
+    metrics: &Metrics,
+    what: impl Display,
+    f: impl FnOnce() -> R,
+) -> Result<R, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        metrics.panics_contained.fetch_add(1, Ordering::Relaxed);
+        format!("panic in {what}: {}", panic_message(&*payload))
+    })
 }
 
 /// Best-effort extraction of a panic payload's message.

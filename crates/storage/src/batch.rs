@@ -582,28 +582,6 @@ impl FactBatch {
         }
     }
 
-    /// Selection-proportional copy: only the selected tuples are
-    /// materialized, into a fresh dense page with an identity selection.
-    /// Logically identical to [`Self::deep_copy`] (same tuples, same
-    /// order, same query bits) but the copy cost scales with the survivors,
-    /// not the page — the flagged alternative to push-mode SP's
-    /// full-page copy model for sparse batches.
-    pub fn compact_copy(&self) -> FactBatch {
-        let schema = self.page.schema().clone();
-        let mut builder = crate::page::PageBuilder::with_capacity(schema, self.sel.len());
-        let mut scratch = Vec::new();
-        for t in 0..self.sel.len() {
-            let ok = builder.push_encoded(self.tuple_bytes_in(t, &mut scratch));
-            debug_assert!(ok);
-        }
-        FactBatch {
-            page: Arc::new(builder.finish()),
-            sel: (0..self.sel.len() as u32).collect(),
-            bits: self.bits.clone(),
-            rows: Vec::new(),
-        }
-    }
-
     /// The underlying page.
     #[inline]
     pub fn page(&self) -> &Arc<Page> {

@@ -21,7 +21,7 @@
 //! 3. **Semantics live at the call site.** The registry only answers
 //!    "does point X fire now?"; whether that means `StorageError::Io`, a
 //!    panic, or a stall is decided where the fault is injected (helpers
-//!    below cover the three shapes).
+//!    below cover the shapes, and the delay/abort pair of a hand-off).
 //!
 //! State is process-global, so tests serialize on [`test_guard`] — not
 //! only the ones that arm faults: a test that merely drives a path with
@@ -238,6 +238,30 @@ pub fn maybe_delay(point: &str) -> bool {
     false
 }
 
+/// Injection helper: the delay/abort pair of a hand-off point (a stage
+/// channel, a buffer push, a registry lookup). `<point>.delay` stalls the
+/// caller briefly; `<point>.abort` then fails the hand-off with an
+/// "injected fault" message naming that point, whose meaning (a lost
+/// batch, an aborted stream, a missed lookup) the call site decides.
+/// Disarmed cost: one relaxed load.
+#[inline]
+pub fn maybe_delay_abort(point: &str) -> Result<(), String> {
+    if !armed() {
+        return Ok(());
+    }
+    delay_abort_armed(point)
+}
+
+#[cold]
+fn delay_abort_armed(point: &str) -> Result<(), String> {
+    maybe_delay(&format!("{point}.delay"));
+    let abort = format!("{point}.abort");
+    if should_fire(&abort) {
+        return Err(format!("injected fault `{abort}`"));
+    }
+    Ok(())
+}
+
 /// Serialization lock for tests that share the process-global registry.
 /// Any `#[test]` that calls [`arm`]/[`disarm`] must hold this guard for
 /// its whole body, or parallel tests in the same binary clobber each
@@ -271,6 +295,7 @@ mod tests {
         assert!(maybe_io("disk.read", "test").is_ok());
         maybe_panic("page.alloc"); // must not panic
         assert!(!maybe_delay("fifo.push.delay"));
+        assert!(maybe_delay_abort("fifo.push").is_ok());
     }
 
     #[test]
@@ -285,6 +310,25 @@ mod tests {
         assert!(!should_fire("other.point"));
         let err = maybe_io("disk.read", "page 3 of lineorder").unwrap_err();
         assert!(err.to_string().contains("disk.read"));
+        disarm();
+    }
+
+    #[test]
+    fn delay_abort_pair_fires_its_abort_point() {
+        let _g = serial();
+        arm(
+            3,
+            &[
+                ("chan.delay", FaultSpec::prob(1.0)),
+                ("chan.abort", FaultSpec::prob(1.0)),
+            ],
+        );
+        assert_eq!(
+            maybe_delay_abort("chan"),
+            Err("injected fault `chan.abort`".to_string())
+        );
+        assert_eq!((fired("chan.delay"), fired("chan.abort")), (1, 1));
+        assert!(maybe_delay_abort("other").is_ok());
         disarm();
     }
 

@@ -250,7 +250,7 @@ proptest! {
     }
 
     /// The bit column against the per-tuple oracle through the copies
-    /// (`deep_copy`, `compact_copy`) and through `retain_with`, which
+    /// (`deep_copy`) and through `retain_with`, which
     /// both mutates the surviving tuples' words and drops tuples: every
     /// survivor's words equal its oracle bitmap after the same edit.
     #[test]
@@ -268,8 +268,6 @@ proptest! {
         let mut fb = batch_with(&page, &sel);
         assert_bits_follow_rows(&fb);
         assert_bits_follow_rows(&fb.deep_copy());
-        let compact = fb.compact_copy();
-        prop_assert_eq!(compact.bits(), fb.bits());
         if materialize_first {
             fb.materialize_rows();
         }

@@ -318,6 +318,10 @@ fn seeded_chaos_storm_every_ticket_terminates() {
                     ("pool.task.abort", fault::FaultSpec::prob(0.005)),
                     ("cjoin.chan.delay", fault::FaultSpec::prob(0.02)),
                     ("cjoin.chan.abort", fault::FaultSpec::prob(0.005)),
+                    ("cjoin.dim.chan.delay", fault::FaultSpec::prob(0.02)),
+                    ("cjoin.dim.chan.abort", fault::FaultSpec::prob(0.005)),
+                    ("cjoin.fanout.chan.delay", fault::FaultSpec::prob(0.02)),
+                    ("cjoin.fanout.chan.abort", fault::FaultSpec::prob(0.005)),
                     ("sp.registry.delay", fault::FaultSpec::prob(0.02)),
                     ("sp.registry.abort", fault::FaultSpec::prob(0.005)),
                     ("cjoin.shard.chan.delay", fault::FaultSpec::prob(0.02)),

@@ -16,9 +16,7 @@
 //! Since PR 10 the fuzzer is also the mode router's oracle: a routed
 //! (`ExecutionMode::Auto`) database runs every seed alongside the five
 //! fixed modes and must match them byte-for-byte no matter which route
-//! it picks, and a second SP-push database runs with
-//! `compact_push_copies` on — the selection-proportional copy shape must
-//! be invisible in output under both settings.
+//! it picks.
 //!
 //! Budget: `MODE_DIFF_CASES` seeds (default 50), base seed
 //! `MODE_DIFF_SEED` (default below) — both env-overridable, and every
@@ -85,12 +83,9 @@ fn run_fuzzer(workers: usize) {
 
         // One database per mode, built once and reused across every seed
         // (the GQP pipelines stay warm, as they would in the demo).
-        // Since PR 10 two extra participants join the five fixed modes:
-        // the routed AUTO database (the mode router must be invisible in
-        // output no matter which mode it picks per seed) and a second
-        // SP-push database with selection-proportional copies enabled
-        // (`compact_push_copies` changes the copy shape, never the bytes
-        // a consumer sees).
+        // Since PR 10 the routed AUTO database joins the five fixed modes
+        // (the mode router must be invisible in output no matter which
+        // mode it picks per seed).
         let mut dbs: Vec<(String, SharingDb)> = ExecutionMode::all()
             .into_iter()
             .map(|mode| {
@@ -117,18 +112,6 @@ fn run_fuzzer(workers: usize) {
                 },
             )
             .expect("auto db"),
-        ));
-        dbs.push((
-            "SpPush(compact)".to_string(),
-            SharingDb::new(
-                catalog.clone(),
-                DbConfig {
-                    workers,
-                    compact_push_copies: true,
-                    ..DbConfig::new(ExecutionMode::SpPush)
-                },
-            )
-            .expect("compact push db"),
         ));
 
         for case in 0..cases {
