@@ -4,8 +4,7 @@
 //! One shared fact-shaped table is scanned page-at-a-time for N
 //! concurrent grouped-aggregation queries; each query resolves every
 //! tuple's group key to a dense slot — exactly the per-tuple loop at the
-//! head of `run_aggregate` and of each `SharedAggregator` grouping
-//! class. Two resolvers run over identical work:
+//! head of `run_aggregate`. Two resolvers run over identical work:
 //!
 //! * **grouptable** — `qs_engine::group::GroupTable` picks a tier per
 //!   key shape: single-`Int` keys probe a flat open-addressing

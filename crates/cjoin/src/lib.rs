@@ -18,11 +18,9 @@
 pub mod bitmap;
 pub mod join;
 pub mod pipeline;
-pub mod shared_agg;
 pub mod stats;
 
 pub use bitmap::{AtomicBitmap, Bitmap};
 pub use join::{DimJoin, KeyIndex};
 pub use pipeline::{CjoinCancel, CjoinError, CjoinPipeline, CjoinQuery, DimSpec, PipelineSpec};
-pub use shared_agg::{AggPlan, SharedAggregator};
 pub use stats::{CjoinMetrics, CjoinStats};

@@ -4,7 +4,7 @@
 //! invariant of proactive sharing.
 
 use proptest::prelude::*;
-use qs_cjoin::{Bitmap, CjoinPipeline, DimSpec, PipelineSpec};
+use qs_cjoin::{CjoinPipeline, DimSpec, PipelineSpec};
 use qs_engine::reference::{assert_rows_match, eval};
 use qs_engine::{BatchSource, CoreGovernor, ExecCtx, Metrics};
 use qs_plan::{CmpOp, Expr, LogicalPlan, StarQuery};
@@ -200,31 +200,6 @@ proptest! {
             let expected = eval(plan, &cat).unwrap();
             assert_rows_match(got, expected, 0.0);
         }
-    }
-
-    /// Bitmap algebra: and_or_assign(self, dim, mask) == self & (dim|mask)
-    /// computed bit by bit.
-    #[test]
-    fn bitmap_and_or_matches_bitwise_model(
-        a in prop::collection::vec(any::<bool>(), 130),
-        b in prop::collection::vec(any::<bool>(), 130),
-        m in prop::collection::vec(any::<bool>(), 130),
-    ) {
-        let mk = |bits: &[bool]| {
-            let mut bm = Bitmap::zeros(130);
-            for (i, &x) in bits.iter().enumerate() {
-                if x {
-                    bm.set(i);
-                }
-            }
-            bm
-        };
-        let mut x = mk(&a);
-        x.and_or_assign(&mk(&b), &mk(&m));
-        for i in 0..130 {
-            prop_assert_eq!(x.get(i), a[i] && (b[i] || m[i]), "bit {}", i);
-        }
-        prop_assert_eq!(x.count_ones(), x.iter_ones().count());
     }
 }
 

@@ -20,7 +20,7 @@
 use parking_lot::Mutex;
 use qs_cjoin::{CjoinPipeline, CjoinStats, PipelineSpec};
 use qs_engine::{
-    AdmissionConfig, EngineConfig, EngineError, MetricsSnapshot, QpipeEngine, QueryOpts,
+    AdmissionConfig, EngineConfig, EngineError, Metrics, MetricsSnapshot, QpipeEngine, QueryOpts,
     QueryTicket, ShareMode, SharingPolicy, StageKind,
 };
 use qs_plan::{LogicalPlan, StarQuery};
@@ -43,7 +43,7 @@ pub enum ExecutionMode {
     Gqp,
     /// Proactive + reactive: CJOIN with SP at the CJOIN stage.
     GqpSp,
-    /// Per-query routing: the [`crate::router::ModeRouter`] planner pass
+    /// Per-query routing: the [`crate::router::decide`] planner pass
     /// picks one of the fixed modes above for every submitted query, from
     /// plan shape, predicate selectivity estimates, live concurrency and
     /// sharing-feedback counters. The engine is built with the full SP
@@ -355,6 +355,13 @@ impl SharingDb {
         self.engine.metrics()
     }
 
+    /// The live engine counters [`Self::metrics`] snapshots. A front door
+    /// that runs work under [`qs_engine::contain_panic`] passes this
+    /// handle, so its contained panics reach the router's signals too.
+    pub fn metrics_handle(&self) -> &Arc<Metrics> {
+        self.engine.metrics_handle()
+    }
+
     /// CJOIN statistics (GQP modes, and Auto once its lazy pipeline has
     /// started).
     pub fn cjoin_stats(&self) -> Option<CjoinStats> {
@@ -456,9 +463,10 @@ impl SharingDb {
 
     /// Front-end only: SQL text → optimized [`LogicalPlan`] (no
     /// submission). Useful for EXPLAIN-style inspection and batching.
+    /// Lex, parse and bind failures come back as [`EngineError::Sql`],
+    /// optimizer failures as [`EngineError::Plan`].
     pub fn plan_sql(&self, sql: &str) -> Result<LogicalPlan, EngineError> {
-        let plan = qs_sql::plan_sql(sql, &self.catalog)
-            .map_err(|e| EngineError::Aborted(e.to_string()))?;
+        let plan = qs_sql::plan_sql(sql, &self.catalog)?;
         Ok(qs_plan::optimize(plan, &self.catalog)?)
     }
 

@@ -1,9 +1,8 @@
 //! Sharing-aware per-query mode routing.
 //!
-//! [`ExecutionMode::Auto`](crate::ExecutionMode::Auto) runs every submitted
-//! plan through this planner pass instead of pinning one evaluation
-//! strategy for the whole server. The decision uses only signals the system
-//! already maintains:
+//! [`ExecutionMode::Auto`] runs every submitted plan through this planner
+//! pass instead of pinning one evaluation strategy for the whole server.
+//! The decision uses only signals the system already maintains:
 //!
 //! * **plan shape** — [`StarQuery::detect`]: only star queries can ride the
 //!   CJOIN global query plan at all;

@@ -1,7 +1,8 @@
-//! Aggregate accumulators, shared by the query-centric aggregation
-//! operator ([`crate::ops`]) and the CJOIN shared-aggregation extension
-//! (`qs-cjoin::shared_agg`). Accumulators are monomorphized per input
-//! type at creation so the per-row update path is branch-cheap.
+//! Aggregate accumulators folded one row at a time: the row-at-a-time
+//! oracle. The engine's `Aggregate` operator runs the batch kernels in
+//! [`crate::kernels`]; the kernel unit tests and
+//! `crates/engine/tests/kernel_props.rs` compare those kernels against
+//! [`make_acc`] / [`update_acc`] / [`finalize_acc`].
 
 use qs_plan::AggFunc;
 use qs_storage::{DataType, RowRef, Schema, Value};

@@ -198,7 +198,7 @@ impl QueryTicket {
 
     /// Attach an admission permit so it is released when this ticket
     /// drops. Used by submitters whose producer half runs outside the
-    /// engine (the CJOIN integration): [`Engine::submit_consumer_with`]
+    /// engine (the CJOIN integration): [`QpipeEngine::submit_consumer_with`]
     /// takes no permit itself, so overload gating there is the caller's
     /// responsibility.
     pub fn with_permit(mut self, permit: AdmissionPermit) -> Self {

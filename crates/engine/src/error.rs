@@ -1,6 +1,7 @@
 //! Engine error type.
 
 use qs_plan::PlanError;
+use qs_sql::SqlError;
 use qs_storage::StorageError;
 use std::fmt;
 
@@ -18,6 +19,8 @@ pub struct RetryHint {
 /// Errors surfaced by query execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
+    /// SQL text that does not lex, parse or bind against the catalog.
+    Sql(SqlError),
     /// Plan construction/validation failure.
     Plan(PlanError),
     /// Storage failure.
@@ -38,6 +41,7 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            EngineError::Sql(e) => write!(f, "{e}"),
             EngineError::Plan(e) => write!(f, "plan error: {e}"),
             EngineError::Storage(e) => write!(f, "storage error: {e}"),
             EngineError::Aborted(msg) => write!(f, "aborted: {msg}"),
@@ -53,6 +57,12 @@ impl fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
+
+impl From<SqlError> for EngineError {
+    fn from(e: SqlError) -> Self {
+        EngineError::Sql(e)
+    }
+}
 
 impl From<PlanError> for EngineError {
     fn from(e: PlanError) -> Self {

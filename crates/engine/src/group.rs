@@ -1,6 +1,5 @@
 //! Group-key → dense-slot resolution, compiled once per grouping spec —
-//! the shared registry behind the engine's `Aggregate` operator and the
-//! CJOIN `SharedAggregator`'s grouping classes.
+//! the registry behind the engine's `Aggregate` operator.
 //!
 //! Hash aggregation's irreducible cost is one key probe per surviving
 //! tuple. What is *not* irreducible is paying a `Vec<u8>` allocation and
@@ -312,9 +311,7 @@ impl GroupTable {
     }
 
     /// Resolve page rows `rows` (any order, any subset) to dense group
-    /// slots — the form the CJOIN shared-aggregation classes use, where
-    /// each class resolves only the tuples relevant to its member
-    /// queries.
+    /// slots.
     pub fn resolve_rows(&mut self, page: &Page, rows: &[u32], out: &mut Vec<u32>) {
         out.clear();
         out.reserve(rows.len());

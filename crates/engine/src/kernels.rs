@@ -11,19 +11,17 @@
 //! ([`AccVec`], one slot per group) so grouped folds index a flat vector
 //! instead of chasing a per-group `Vec<Acc>`.
 //!
-//! Two update shapes cover every consumer:
-//!
-//! * [`update_grouped`] — `(row, group)` pairs, for hash aggregation
-//!   (engine `Aggregate`, CJOIN shared aggregation classes);
-//! * [`update_masked`] — a selection mask folding into group 0, for
-//!   scalar aggregates over a predicate/bitmap selection.
+//! One update shape covers the engine's `Aggregate` operator:
+//! [`update_grouped`] folds `(row, group)` pairs. A scalar aggregate (no
+//! GROUP BY) is the one-group case: the `GroupTable` resolves every row
+//! to the empty key's single slot.
 //!
 //! The row-at-a-time `update_acc` stays as the property-test oracle:
 //! `crates/engine/tests/kernel_props.rs` pins the kernels to it on
-//! arbitrary column data and masks.
+//! arbitrary column data and groupings.
 
 use qs_plan::AggFunc;
-use qs_storage::{iter_ones, ColumnBatch, ColumnData, DataType, Schema, Value};
+use qs_storage::{ColumnBatch, ColumnData, DataType, Schema, Value};
 
 /// An aggregate function resolved against its input schema: typed op +
 /// column indices, no `Value`s and no per-row type dispatch. Mirrors the
@@ -280,39 +278,6 @@ fn num_col<'a>(batch: &'a ColumnBatch<'_>, col: u32) -> NumCol<'a> {
     }
 }
 
-/// Masked integer sum with a dense-word fast path: an all-ones mask word
-/// covers 64 contiguous lanes, which are folded through four independent
-/// accumulators (the `std::simd`-shaped form the autovectorizer turns
-/// into packed adds). Integer addition is associative, so splitting the
-/// accumulator cannot change the result; the `f64` kernels keep their
-/// single-accumulator evaluation order because float addition is not.
-#[inline]
-fn sum_masked_i64(mask: &[u64], len: usize, lane: impl Fn(usize) -> i64) -> i64 {
-    let mut acc = 0i64;
-    for (wi, &w) in mask.iter().enumerate() {
-        let base = wi * 64;
-        if w == u64::MAX && base + 64 <= len {
-            let (mut a0, mut a1, mut a2, mut a3) = (0i64, 0i64, 0i64, 0i64);
-            let mut i = base;
-            while i < base + 64 {
-                a0 += lane(i);
-                a1 += lane(i + 1);
-                a2 += lane(i + 2);
-                a3 += lane(i + 3);
-                i += 4;
-            }
-            acc += a0 + a1 + a2 + a3;
-        } else {
-            let mut w = w;
-            while w != 0 {
-                acc += lane(base + w.trailing_zeros() as usize);
-                w &= w - 1;
-            }
-        }
-    }
-    acc
-}
-
 /// Run `f(row, group)` over the zipped pair lists.
 #[inline]
 fn for_pairs(rows: &[u32], groups: &[u32], mut f: impl FnMut(usize, usize)) {
@@ -436,143 +401,11 @@ pub fn update_grouped(
     }
 }
 
-/// Fold the mask-selected rows of `batch` into group slot 0 — the scalar
-/// (no GROUP BY) form. `mask` is a selection mask over batch rows with
-/// tail bits clear (as `eval_batch` produces); `accs` must have ≥ 1 slot.
-pub fn update_masked(
-    kernel: &AggKernel,
-    accs: &mut AccVec,
-    batch: &ColumnBatch<'_>,
-    mask: &[u64],
-) {
-    // COUNT over a mask is pure popcount — no column read at all.
-    if let (AggKernel::Count, AccVec::Count(v)) = (kernel, &mut *accs) {
-        v[0] += mask.iter().map(|w| w.count_ones() as i64).sum::<i64>();
-        return;
-    }
-    match (kernel, accs) {
-        (AggKernel::SumI { col }, AccVec::SumI(v)) => {
-            let d = batch.col(*col as usize).i64s();
-            v[0] += sum_masked_i64(mask, d.len(), |r| d[r]);
-        }
-        (AggKernel::SumF { col }, AccVec::SumF(v)) => {
-            let d = num_col(batch, *col);
-            let mut acc = 0.0f64;
-            for r in iter_ones(mask) {
-                acc += d.get(r);
-            }
-            v[0] += acc;
-        }
-        (AggKernel::Avg { col }, AccVec::Avg { sum, n }) => {
-            let d = num_col(batch, *col);
-            let mut acc = 0.0f64;
-            let mut cnt = 0i64;
-            for r in iter_ones(mask) {
-                acc += d.get(r);
-                cnt += 1;
-            }
-            sum[0] += acc;
-            n[0] += cnt;
-        }
-        (AggKernel::MinI { col }, AccVec::MinI(v)) => {
-            let d = batch.col(*col as usize).i64s();
-            for r in iter_ones(mask) {
-                let x = d[r];
-                v[0] = Some(v[0].map_or(x, |m| m.min(x)));
-            }
-        }
-        (AggKernel::MaxI { col }, AccVec::MaxI(v)) => {
-            let d = batch.col(*col as usize).i64s();
-            for r in iter_ones(mask) {
-                let x = d[r];
-                v[0] = Some(v[0].map_or(x, |m| m.max(x)));
-            }
-        }
-        (AggKernel::MinF { col }, AccVec::MinF(v)) => {
-            let d = batch.col(*col as usize).f64s();
-            for r in iter_ones(mask) {
-                let x = d[r];
-                v[0] = Some(v[0].map_or(x, |m| m.min(x)));
-            }
-        }
-        (AggKernel::MaxF { col }, AccVec::MaxF(v)) => {
-            let d = batch.col(*col as usize).f64s();
-            for r in iter_ones(mask) {
-                let x = d[r];
-                v[0] = Some(v[0].map_or(x, |m| m.max(x)));
-            }
-        }
-        (AggKernel::MinD { col }, AccVec::MinD(v)) => {
-            let d = batch.col(*col as usize).dates();
-            for r in iter_ones(mask) {
-                let x = d[r];
-                v[0] = Some(v[0].map_or(x, |m| m.min(x)));
-            }
-        }
-        (AggKernel::MaxD { col }, AccVec::MaxD(v)) => {
-            let d = batch.col(*col as usize).dates();
-            for r in iter_ones(mask) {
-                let x = d[r];
-                v[0] = Some(v[0].map_or(x, |m| m.max(x)));
-            }
-        }
-        (AggKernel::MinS { col }, AccVec::MinS(v)) => {
-            let d = batch.col(*col as usize).strs();
-            for r in iter_ones(mask) {
-                let x = d[r];
-                match &v[0] {
-                    Some(m) if m.as_str() <= x => {}
-                    _ => v[0] = Some(x.to_string()),
-                }
-            }
-        }
-        (AggKernel::MaxS { col }, AccVec::MaxS(v)) => {
-            let d = batch.col(*col as usize).strs();
-            for r in iter_ones(mask) {
-                let x = d[r];
-                match &v[0] {
-                    Some(m) if m.as_str() >= x => {}
-                    _ => v[0] = Some(x.to_string()),
-                }
-            }
-        }
-        (AggKernel::SumProdI { a, b }, AccVec::SumI(v)) => {
-            let da = batch.col(*a as usize).i64s();
-            let db = batch.col(*b as usize).i64s();
-            v[0] += sum_masked_i64(mask, da.len(), |r| da[r] * db[r]);
-        }
-        (AggKernel::SumProdF { a, b }, AccVec::SumF(v)) => {
-            let da = num_col(batch, *a);
-            let db = num_col(batch, *b);
-            let mut acc = 0.0f64;
-            for r in iter_ones(mask) {
-                acc += da.get(r) * db.get(r);
-            }
-            v[0] += acc;
-        }
-        (AggKernel::SumDiffI { a, b }, AccVec::SumI(v)) => {
-            let da = batch.col(*a as usize).i64s();
-            let db = batch.col(*b as usize).i64s();
-            v[0] += sum_masked_i64(mask, da.len(), |r| da[r] - db[r]);
-        }
-        (AggKernel::SumDiffF { a, b }, AccVec::SumF(v)) => {
-            let da = num_col(batch, *a);
-            let db = num_col(batch, *b);
-            let mut acc = 0.0f64;
-            for r in iter_ones(mask) {
-                acc += da.get(r) - db.get(r);
-            }
-            v[0] += acc;
-        }
-        (k, a) => unreachable!("kernel/accumulator mismatch: {k:?} vs {a:?}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::agg::{finalize_acc, make_acc, update_acc};
-    use qs_storage::{mask_words, Page};
+    use qs_storage::Page;
     use std::sync::Arc;
 
     fn schema() -> Arc<Schema> {
@@ -648,32 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn masked_kernels_match_row_oracle() {
-        let s = schema();
-        let p = page();
-        let n = p.rows();
-        // Every third row selected, plus the last.
-        let mut mask = vec![0u64; mask_words(n)];
-        for i in (0..n).step_by(3).chain([n - 1]) {
-            mask[i / 64] |= 1 << (i % 64);
-        }
-        for func in all_funcs() {
-            let kernel = AggKernel::compile(&func, &s);
-            let mut accs = AccVec::for_kernel(&kernel);
-            accs.resize(1);
-            let batch = ColumnBatch::from_page(&p, &kernel_columns(&[kernel]));
-            update_masked(&kernel, &mut accs, &batch, &mask);
-            let mut oracle = make_acc(&func, &s);
-            for (i, row) in p.iter().enumerate() {
-                if mask[i / 64] & (1 << (i % 64)) != 0 {
-                    update_acc(&mut oracle, &func, &row);
-                }
-            }
-            assert_eq!(accs.finalize(0), finalize_acc(&oracle), "{func:?}");
-        }
-    }
-
-    #[test]
     fn empty_selection_finalizes_neutral() {
         let s = schema();
         let p = page();
@@ -682,50 +489,12 @@ mod tests {
             let mut accs = AccVec::for_kernel(&kernel);
             accs.resize(1);
             let batch = ColumnBatch::from_page(&p, &kernel_columns(&[kernel]));
-            update_masked(&kernel, &mut accs, &batch, &vec![0u64; mask_words(p.rows())]);
+            update_grouped(&kernel, &mut accs, &batch, &[], &[]);
             assert_eq!(
                 accs.finalize(0),
                 finalize_acc(&make_acc(&func, &s)),
                 "{func:?}"
             );
-        }
-    }
-
-    #[test]
-    fn dense_word_sum_matches_scalar_fold() {
-        // 150 rows: words 0 and 1 are all-ones (dense 64-lane blocks),
-        // the tail word is sparse — both paths of `sum_masked_i64`, on
-        // both layouts.
-        let s = Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]);
-        let rows: Vec<Vec<Value>> = (0..150i64)
-            .map(|i| vec![Value::Int(i * 31 - 1000), Value::Int(7 - i)])
-            .collect();
-        let p = Page::from_values(&s, &rows).unwrap();
-        let mut mask = vec![u64::MAX, u64::MAX, 0u64];
-        for i in 128..150 {
-            if i % 3 == 0 {
-                mask[2] |= 1u64 << (i - 128);
-            }
-        }
-        for page in [p.clone(), p.to_columnar()] {
-            for func in [AggFunc::Sum(0), AggFunc::SumProd(0, 1), AggFunc::SumDiff(0, 1)] {
-                let kernel = AggKernel::compile(&func, &s);
-                let mut accs = AccVec::for_kernel(&kernel);
-                accs.resize(1);
-                let batch = ColumnBatch::from_page(&page, &[0, 1]);
-                update_masked(&kernel, &mut accs, &batch, &mask);
-                // Scalar reference: fold selected lanes one at a time.
-                let da = batch.col(0).i64s();
-                let db = batch.col(1).i64s();
-                let expect: i64 = iter_ones(&mask)
-                    .map(|r| match func {
-                        AggFunc::Sum(_) => da[r],
-                        AggFunc::SumProd(..) => da[r] * db[r],
-                        _ => da[r] - db[r],
-                    })
-                    .sum();
-                assert_eq!(accs.finalize(0), Value::Int(expect), "{func:?}");
-            }
         }
     }
 

@@ -18,14 +18,14 @@
 //!   SP, eliminating the copy serialization of the push model,
 //! * a **core governor** ([`governor`]) reproduces the demo's "bind the
 //!   server to N cores" knob,
-//! * a serial **reference evaluator** ([`reference`]) serves as the
+//! * a serial **reference evaluator** ([`reference`](mod@reference)) serves as the
 //!   testing oracle for all execution modes,
 //! * **aggregation kernels** ([`kernels`]) — typed, schema-resolved
-//!   batch folds over `qs_storage::ColumnBatch` shared by the engine's
-//!   `Aggregate` operator and `qs-cjoin`'s shared aggregation,
+//!   batch folds over `qs_storage::ColumnBatch` for the engine's
+//!   `Aggregate` operator, pinned to the row-at-a-time oracle in [`agg`],
 //! * **group-slot resolution** ([`group`]) — the tiered group-key →
-//!   dense-slot registry ([`group::GroupTable`]) both of those
-//!   aggregation consumers probe batch-at-a-time.
+//!   dense-slot registry ([`group::GroupTable`]) that operator probes
+//!   batch-at-a-time.
 
 pub mod agg;
 pub mod ctl;

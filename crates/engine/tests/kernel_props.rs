@@ -1,17 +1,15 @@
 //! Property tests pinning the vectorized aggregation kernels
 //! (`qs_engine::kernels`) to the row-at-a-time `update_acc` oracle on
-//! arbitrary column data, selection masks and groupings. The oracle is
+//! arbitrary column data, sub-selections and groupings. The oracle is
 //! the accumulator path every execution mode agreed on before the batch
 //! refactor, so kernel/oracle equality here plus the mode-agreement e2e
 //! tests pin the whole refactor.
 
 use proptest::prelude::*;
 use qs_engine::agg::{finalize_acc, make_acc, update_acc};
-use qs_engine::kernels::{
-    kernel_columns, update_grouped, update_masked, AccVec, AggKernel,
-};
+use qs_engine::kernels::{kernel_columns, update_grouped, AccVec, AggKernel};
 use qs_plan::AggFunc;
-use qs_storage::{mask_words, ColumnBatch, DataType, Page, Schema, Value};
+use qs_storage::{ColumnBatch, DataType, Page, Schema, Value};
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -85,41 +83,6 @@ fn assert_value_close(got: &Value, want: &Value, ctx: &str) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Masked kernels (scalar aggregates over a selection mask) agree
-    /// with folding the selected rows one at a time.
-    #[test]
-    fn masked_kernels_match_update_acc(
-        rows in arb_rows(),
-        func in arb_func(),
-        mask_seed in any::<u64>(),
-    ) {
-        let s = schema();
-        let page = build_page(&rows);
-        let n = page.rows();
-        // Pseudo-random selection mask with tail bits clear.
-        let mut mask = vec![0u64; mask_words(n)];
-        let mut x = mask_seed | 1;
-        for i in 0..n {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            if x >> 63 == 1 {
-                mask[i / 64] |= 1 << (i % 64);
-            }
-        }
-        let kernel = AggKernel::compile(&func, &s);
-        let batch = ColumnBatch::from_page(&page, &kernel_columns(&[kernel]));
-        let mut accs = AccVec::for_kernel(&kernel);
-        accs.resize(1);
-        update_masked(&kernel, &mut accs, &batch, &mask);
-
-        let mut oracle = make_acc(&func, &s);
-        for (i, row) in page.iter().enumerate() {
-            if mask[i / 64] & (1 << (i % 64)) != 0 {
-                update_acc(&mut oracle, &func, &row);
-            }
-        }
-        assert_value_close(&accs.finalize(0), &finalize_acc(&oracle), &format!("{func:?}"));
-    }
 
     /// Grouped kernels agree with per-group row-at-a-time folding under
     /// arbitrary row→group assignments and sub-selections.

@@ -12,12 +12,12 @@
 //!   CJOIN preprocessor, admissions and the engine's scan/filter,
 //! * [`plan`]: the logical operator tree (`Scan`, `HashJoin`, `Aggregate`,
 //!   `Sort`, `Project`, `Limit`) with schema derivation,
-//! * [`signature`]: stable structural hashes of sub-plans — the key SP uses
+//! * [`signature`](mod@signature): stable structural hashes of sub-plans — the key SP uses
 //!   at run time to detect that two in-flight packets compute the same
 //!   thing,
 //! * [`star`]: recognition of star-shaped join plans (fact table joined
 //!   with dimension chains), the class of plans CJOIN can evaluate,
-//! * [`optimize`]: the query-centric optimizer — predicate pushdown,
+//! * [`optimize`](mod@optimize): the query-centric optimizer — predicate pushdown,
 //!   projection pruning and sampled star-join reordering, turning naive
 //!   front-end plans into the per-table-predicate shape SP signatures and
 //!   CJOIN admission work on.

@@ -42,19 +42,21 @@
 //! can follow `ROW` frames (e.g. a deadline expiring mid-stream); it
 //! always terminates the request.
 //!
-//! Fault isolation: each request runs inside a panic belt, so a poisoned
-//! statement (or an injected failpoint in the engine underneath) produces
-//! an `ERR` frame on one connection — never a dead listener. Rows are
+//! Fault isolation: each request runs inside the engine's one panic belt,
+//! [`qs_engine::contain_panic`], so a poisoned statement produces an
+//! `ERR INTERNAL` frame on one connection — never a dead listener. A
+//! panic contained there counts into [`ServerStats::panics_contained`]
+//! and into the engine's `Metrics::panics_contained`, the signal that
+//! keeps the AUTO router from trusting its sharing feedback. Rows are
 //! streamed batch-at-a-time straight off the engine's zero-copy
 //! [`FactBatch`](qs_storage::FactBatch) currency, without re-materializing
 //! output pages.
 
 use qs_core::db::SharingDb;
-use qs_engine::{AdmissionConfig, EngineError, QueryOpts, RetryHint};
+use qs_engine::{contain_panic, AdmissionConfig, EngineError, QueryOpts, RetryHint};
 use qs_sql::SqlError;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -82,7 +84,8 @@ pub struct ServerStats {
     pub errors: AtomicU64,
     /// `ERR SHED` frames (subset of `errors`).
     pub sheds: AtomicU64,
-    /// Panics contained by the per-request belt.
+    /// Panics contained by the per-request belt (each also counts into
+    /// the engine's `Metrics::panics_contained`).
     pub panics_contained: AtomicU64,
 }
 
@@ -216,6 +219,10 @@ pub fn engine_error_frame(e: &EngineError, admission: Option<&AdmissionConfig>) 
         EngineError::Cancelled => ("CANCELLED", None, e.to_string()),
         EngineError::Aborted(_) => ("ABORTED", None, e.to_string()),
         EngineError::Storage(_) => ("STORAGE", None, e.to_string()),
+        EngineError::Sql(SqlError::Lex { .. } | SqlError::Parse { .. }) => {
+            ("PARSE", None, e.to_string())
+        }
+        EngineError::Sql(SqlError::Bind(_)) => ("BIND", None, e.to_string()),
         EngineError::Plan(_) => ("PLAN", None, e.to_string()),
     };
     err_frame(kind, retry, &msg)
@@ -232,13 +239,6 @@ fn err_frame(kind: &str, retry_ms: Option<u64>, msg: &str) -> String {
         .map(|c| if c == '\n' || c == '\r' { ' ' } else { c })
         .collect();
     format!("ERR {kind} {retry} {msg}")
-}
-
-fn sql_error_frame(e: &SqlError) -> String {
-    match e {
-        SqlError::Lex { .. } | SqlError::Parse { .. } => err_frame("PARSE", None, &e.to_string()),
-        SqlError::Bind(_) => err_frame("BIND", None, &e.to_string()),
-    }
 }
 
 /// Read one `\n`-terminated line without letting a hostile client grow
@@ -329,24 +329,10 @@ fn connection_loop(db: Arc<SharingDb>, stats: Arc<ServerStats>, stream: TcpStrea
             continue;
         }
 
-        // SQL request, inside the per-request panic belt: a poisoned
-        // statement gets an ERR frame, the connection (and listener)
-        // live on.
         stats.requests.fetch_add(1, Ordering::Relaxed);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            serve_sql(&db, &line, deadline, admission.as_ref(), &mut writer)
-        }));
-        let disposition = match outcome {
-            Ok(d) => d,
-            Err(_) => {
-                stats.panics_contained.fetch_add(1, Ordering::Relaxed);
-                let frame = err_frame("INTERNAL", None, "contained panic while serving request");
-                match writeln!(writer, "{frame}").and_then(|_| writer.flush()) {
-                    Ok(()) => Disposition::Error,
-                    Err(_) => Disposition::Gone,
-                }
-            }
-        };
+        let disposition = belted(&db, &stats, &mut writer, |w| {
+            serve_sql(&db, &line, deadline, admission.as_ref(), w)
+        });
         match disposition {
             Disposition::Completed => {
                 stats.completed.fetch_add(1, Ordering::Relaxed);
@@ -363,6 +349,27 @@ fn connection_loop(db: Arc<SharingDb>, stats: Arc<ServerStats>, stream: TcpStrea
     }
 }
 
+/// The per-request panic belt: a poisoned statement gets an
+/// `ERR INTERNAL` frame and the connection (and listener) live on. The
+/// panic counts into [`ServerStats::panics_contained`] and, through
+/// [`contain_panic`], into the engine's `Metrics::panics_contained`.
+fn belted<W: Write>(
+    db: &SharingDb,
+    stats: &ServerStats,
+    writer: &mut W,
+    serve: impl FnOnce(&mut W) -> Disposition,
+) -> Disposition {
+    match contain_panic(db.metrics_handle(), "request", || serve(&mut *writer)) {
+        Ok(d) => d,
+        Err(_) => {
+            stats.panics_contained.fetch_add(1, Ordering::Relaxed);
+            let frame = err_frame("INTERNAL", None, "contained panic while serving request");
+            finish_err(writer, frame)
+        }
+    }
+}
+
+#[derive(Debug, PartialEq, Eq)]
 enum Disposition {
     Completed,
     Error,
@@ -382,35 +389,13 @@ fn serve_sql(
     writer: &mut BufWriter<TcpStream>,
 ) -> Disposition {
     let started = Instant::now();
-
-    // Front end split so the frame kind distinguishes parse/bind errors
-    // (client bugs) from plan/engine errors.
-    let plan = match qs_sql::plan_sql(sql, db.catalog()) {
-        Ok(p) => p,
-        Err(e) => return finish_err(writer, sql_error_frame(&e)),
-    };
-    let plan = match qs_plan::optimize(plan, db.catalog()) {
-        Ok(p) => p,
-        Err(e) => {
-            return finish_err(writer, engine_error_frame(&EngineError::Plan(e), admission))
-        }
-    };
-
     let opts = match deadline {
         Some(d) => QueryOpts::with_deadline(d),
         None => QueryOpts::default(),
     };
-    let mut ticket = match db.submit_with(&plan, &opts) {
+    let mut ticket = match db.submit_sql_with(sql, &opts) {
         Ok(t) => t,
-        Err(e) => {
-            let shed = matches!(e, EngineError::Shed(_));
-            let d = finish_err(writer, engine_error_frame(&e, admission));
-            return match (shed, d) {
-                (_, Disposition::Gone) => Disposition::Gone,
-                (true, _) => Disposition::Shed,
-                (false, d) => d,
-            };
-        }
+        Err(e) => return finish_err(writer, engine_error_frame(&e, admission)),
     };
 
     // Schema frame.
@@ -471,7 +456,7 @@ fn serve_sql(
     }
 }
 
-fn finish_err(writer: &mut BufWriter<TcpStream>, frame: String) -> Disposition {
+fn finish_err(writer: &mut impl Write, frame: String) -> Disposition {
     match writeln!(writer, "{frame}").and_then(|_| writer.flush()) {
         Ok(()) => {
             if frame.starts_with("ERR SHED") {
@@ -529,5 +514,29 @@ mod tests {
         assert!(engine_error_frame(&EngineError::DeadlineExceeded, None)
             .starts_with("ERR DEADLINE -"));
         assert!(engine_error_frame(&EngineError::Cancelled, None).starts_with("ERR CANCELLED -"));
+    }
+
+    #[test]
+    fn contained_request_panic_reaches_engine_metrics() {
+        use qs_core::{DbConfig, ExecutionMode};
+        let db = SharingDb::new(
+            qs_storage::Catalog::new(),
+            DbConfig::new(ExecutionMode::QueryCentric),
+        )
+        .unwrap();
+        let stats = ServerStats::default();
+        let mut out = Vec::new();
+        let d = belted(&db, &stats, &mut out, |_| panic!("poisoned request"));
+        assert_eq!(d, Disposition::Error);
+        assert_eq!(stats.panics_contained.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            db.metrics().panics_contained,
+            1,
+            "the router's panic signal must see the contained request panic"
+        );
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "ERR INTERNAL - contained panic while serving request\n"
+        );
     }
 }

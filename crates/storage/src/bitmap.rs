@@ -11,13 +11,13 @@
 //! * **[`BitColumn`]** — the per-tuple query bits of a whole batch as one
 //!   dense `u64` column, tuple-major: bit `q` of tuple `t` = "this tuple
 //!   is (still) relevant to query `q`". The CJOIN preprocessor writes it,
-//!   the shared joins AND into it in place, the distributor and the
-//!   shared aggregation route by it. One column per batch, not one
-//!   object per tuple: the joins touch `⌈max_queries/64⌉` contiguous
-//!   words per tuple and compact the column with the selection.
+//!   the shared joins AND into it in place, the distributor routes by
+//!   it. One column per batch, not one object per tuple: the joins touch
+//!   `⌈max_queries/64⌉` contiguous words per tuple and compact the column
+//!   with the selection.
 //! * **[`Bitmap`]** — one standalone bitmap over query slots: a query
-//!   set (the shared aggregation's class masks, a union of a batch's
-//!   bits) and the per-tuple oracle the column is tested against.
+//!   set (a union of a batch's bits) and the per-tuple oracle the column
+//!   is tested against.
 //!
 //! `Bitmap` was born in `qs-cjoin`; it moved down here when
 //! [`crate::batch::FactBatch`] made (selection, query bits) the
@@ -53,8 +53,8 @@ const INLINE_WORDS: usize = 2;
 
 /// A fixed-width bitmap over query slots.
 ///
-/// Small-inline representation: up to [`INLINE_WORDS`]·64 slots live in
-/// the struct itself; wider bitmaps spill to a heap vector. The invariant
+/// Small-inline representation: up to two words (128 slots) live in the
+/// struct itself; wider bitmaps spill to a heap vector. The invariant
 /// is canonical (inline words zeroed when spilled, spill empty when
 /// inline), so derived equality is structural equality.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,46 +153,10 @@ impl Bitmap {
         }
     }
 
-    /// `self &= (other | mask)` in one pass — the join step with a
-    /// bypass mask for queries that do not join this dimension.
-    #[inline]
-    pub fn and_or_assign(&mut self, other: &Bitmap, mask: &Bitmap) {
-        debug_assert_eq!(self.nwords, other.nwords);
-        debug_assert_eq!(self.nwords, mask.nwords);
-        for ((a, b), m) in self
-            .words_mut()
-            .iter_mut()
-            .zip(other.words())
-            .zip(mask.words())
-        {
-            *a &= *b | *m;
-        }
-    }
-
-    /// `self &= mask` (join step when the key found no dimension match:
-    /// only bypassing queries survive).
-    #[inline]
-    pub fn and_mask(&mut self, mask: &Bitmap) {
-        for (a, m) in self.words_mut().iter_mut().zip(mask.words()) {
-            *a &= *m;
-        }
-    }
-
     /// Any bit set?
     #[inline]
     pub fn any(&self) -> bool {
         self.words().iter().any(|&w| w != 0)
-    }
-
-    /// Whether `self & other` has any bit set (class-relevance test of
-    /// the shared aggregator: does any member query still want this
-    /// tuple?).
-    #[inline]
-    pub fn intersects(&self, other: &Bitmap) -> bool {
-        self.words()
-            .iter()
-            .zip(other.words())
-            .any(|(a, b)| a & b != 0)
     }
 
     /// Number of set bits.
@@ -370,45 +334,8 @@ mod tests {
         a.set(2);
         b.set(2);
         b.set(3);
-        assert!(a.intersects(&b));
         a.and_assign(&b);
         assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![2]);
-        let empty = Bitmap::zeros(64);
-        assert!(!a.intersects(&empty));
-    }
-
-    #[test]
-    fn and_or_assign_respects_bypass() {
-        // q0 joins the dim (match bit set), q1 bypasses it.
-        let mut tuple = Bitmap::zeros(64);
-        tuple.set(0);
-        tuple.set(1);
-        let mut dim = Bitmap::zeros(64);
-        dim.set(0);
-        let mut bypass = Bitmap::zeros(64);
-        bypass.set(1);
-        tuple.and_or_assign(&dim, &bypass);
-        assert_eq!(tuple.iter_ones().collect::<Vec<_>>(), vec![0, 1]);
-
-        // Dim entry NOT matching q0: q0 dies, q1 survives via bypass.
-        let mut tuple = Bitmap::zeros(64);
-        tuple.set(0);
-        tuple.set(1);
-        let dim0 = Bitmap::zeros(64);
-        tuple.and_or_assign(&dim0, &bypass);
-        assert_eq!(tuple.iter_ones().collect::<Vec<_>>(), vec![1]);
-    }
-
-    #[test]
-    fn and_mask_for_missing_key() {
-        let mut tuple = Bitmap::zeros(64);
-        tuple.set(0);
-        tuple.set(5);
-        let mut bypass = Bitmap::zeros(64);
-        bypass.set(5);
-        tuple.and_mask(&bypass);
-        assert_eq!(tuple.iter_ones().collect::<Vec<_>>(), vec![5]);
-        assert!(tuple.any());
     }
 
     #[test]
@@ -421,6 +348,7 @@ mod tests {
             b.iter_ones().collect::<Vec<_>>(),
             vec![0, 63, 64, 127, 128, 199]
         );
+        assert_eq!(b.count_ones(), b.iter_ones().count());
     }
 
     #[test]

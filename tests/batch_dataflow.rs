@@ -4,11 +4,9 @@
 //! cache must leave every execution mode's answers exactly where the
 //! reference evaluator puts them.
 
-use sharing_repro::cjoin::{AggPlan, SharedAggregator};
 use sharing_repro::engine::reference;
 use sharing_repro::plan::CompiledPred;
 use sharing_repro::prelude::*;
-use sharing_repro::storage::BitColumn;
 use std::sync::Arc;
 
 fn ssb(scale: f64, seed: u64) -> Arc<Catalog> {
@@ -157,85 +155,4 @@ fn concurrent_identical_predicates_share_compiled_programs() {
         h1 > h0,
         "six identical scans must share cached compiled predicates (hits {h0} -> {h1})"
     );
-}
-
-#[test]
-fn shared_aggregator_matches_per_query_reference_on_annotated_stream() {
-    // Build an annotated stream by hand (as the CJOIN distributor's input
-    // looks) and check the shared batch-routing aggregator against
-    // aggregating each query's routed tuples independently with the
-    // engine reference path.
-    let catalog = ssb(0.002, 53);
-    let lo = catalog.get("lineorder").unwrap();
-    let s = lo.schema();
-    let col = |n: &str| s.index_of(n).unwrap();
-    let pool = sharing_repro::storage::BufferPool::new(
-        sharing_repro::storage::BufferPoolConfig::unbounded(),
-        Arc::new(sharing_repro::storage::DiskModel::new(
-            DiskConfig::memory_resident(),
-        )),
-    );
-
-    // Three queries with per-query predicates (the bitmap annotation)
-    // and overlapping grouping classes.
-    let preds = [
-        Expr::between(col("lo_quantity"), 1i64, 25i64),
-        Expr::ge(col("lo_discount"), 5i64),
-        Expr::between(col("lo_quantity"), 10i64, 45i64),
-    ];
-    let plans = [
-        AggPlan {
-            group_by: vec![col("lo_discount")],
-            aggs: vec![
-                AggSpec::new(AggFunc::Sum(col("lo_quantity")), "s"),
-                AggSpec::new(AggFunc::Count, "n"),
-            ],
-        },
-        AggPlan {
-            group_by: vec![col("lo_discount")],
-            aggs: vec![AggSpec::new(AggFunc::Avg(col("lo_extendedprice")), "a")],
-        },
-        AggPlan {
-            group_by: vec![],
-            aggs: vec![AggSpec::new(
-                AggFunc::SumProd(col("lo_extendedprice"), col("lo_discount")),
-                "rev",
-            )],
-        },
-    ];
-
-    let mut shared = SharedAggregator::new(s.clone());
-    for (q, plan) in plans.iter().enumerate() {
-        shared.register(q as u32, plan.clone());
-    }
-    let mut solo: Vec<SharedAggregator> = plans
-        .iter()
-        .enumerate()
-        .map(|(q, plan)| {
-            let mut a = SharedAggregator::new(s.clone());
-            a.register(q as u32, plan.clone());
-            a
-        })
-        .collect();
-
-    let mut cursor = sharing_repro::storage::CircularCursor::new(lo.clone());
-    while let Some(page) = cursor.next_page(&pool).unwrap() {
-        let mut bits = BitColumn::zeros(1, page.rows());
-        for (t, row) in page.iter().enumerate() {
-            for (q, p) in preds.iter().enumerate() {
-                if p.eval(&row) {
-                    bits.set(t, q);
-                }
-            }
-        }
-        shared.push_page(&page, &bits);
-        for a in &mut solo {
-            a.push_page(&page, &bits);
-        }
-    }
-    for (q, mut a) in solo.into_iter().enumerate() {
-        let want = a.finish(q as u32).unwrap();
-        let got = shared.finish(q as u32).unwrap();
-        reference::assert_rows_match(got, want, 1e-9);
-    }
 }

@@ -396,6 +396,30 @@ fn adversarial_sql_gets_typed_frames_and_connection_survives() {
             Outcome::Rows(_) => panic!("hostile input unexpectedly succeeded: {sql:?}"),
         }
     }
+    // Exact kinds and messages: a statement that does not parse is
+    // `PARSE`, one naming an unknown column is `BIND`.
+    for (sql, want_kind, want_msg) in [
+        (
+            "SELECT * FROM lineorder WHERE",
+            "PARSE",
+            "parse error at offset 29: expected identifier, found end of input",
+        ),
+        (
+            "SELECT no_such_col FROM lineorder",
+            "BIND",
+            "bind error: unknown column `no_such_col`",
+        ),
+    ] {
+        match cl.query(sql) {
+            Outcome::Err(kind, retry, msg) => {
+                assert_eq!(
+                    (kind.as_str(), retry.as_str(), msg.as_str()),
+                    (want_kind, "-", want_msg)
+                )
+            }
+            Outcome::Rows(_) => panic!("{sql:?} unexpectedly succeeded"),
+        }
+    }
     // Unknown meta command: typed PROTO, connection still usable.
     cl.send(".selfdestruct");
     assert!(cl.read_line().starts_with("ERR PROTO "));
