@@ -1,8 +1,8 @@
 //! The unified sharing system: QPipe + CJOIN behind one `submit` call.
 //!
 //! This is the paper's §3 "Integration": the CJOIN operator is mounted as
-//! an additional stage of the QPipe engine, and the execution mode decides
-//! how a submitted plan is evaluated:
+//! an additional stage of the QPipe engine, and the execution mode only
+//! decides where a submitted plan goes:
 //!
 //! * [`ExecutionMode::QueryCentric`] — plain QPipe operators, no SP,
 //! * [`ExecutionMode::SpPush`] / [`ExecutionMode::SpPull`] — QPipe with
@@ -16,19 +16,29 @@
 //!   star queries with identical CJOIN sub-plans (same fact predicate,
 //!   same dimension joins and predicates) share a single admission via an
 //!   SPL, saving admission and book-keeping costs (the paper's Figure 2).
+//! * [`ExecutionMode::Auto`] — the router picks one of the above per plan.
+//!
+//! Every submission takes one path, [`SharingDb::submit_batch_with`]. Each
+//! plan is first *routed*: a fixed mode is a router that always answers
+//! with itself, while `Auto` asks [`crate::router::decide`]. It is then
+//! *dispatched*: a GQP route of a star plan is admitted to CJOIN (or, under
+//! GQP+SP, subscribes to an identical live admission); every other plan
+//! joins the batch's one engine batch under its route's sharing policy, so
+//! the reactive members of a batch share one SP window in every mode.
 
 use parking_lot::Mutex;
 use qs_cjoin::{CjoinPipeline, CjoinStats, PipelineSpec};
 use qs_engine::{
-    AdmissionConfig, EngineConfig, EngineError, Metrics, MetricsSnapshot, QpipeEngine, QueryOpts,
-    QueryTicket, ShareMode, SharingPolicy, StageKind,
+    AdmissionConfig, AdmissionPermit, BatchBuilder, BatchSource, EngineConfig, EngineError,
+    Metrics, MetricsSnapshot, OutputHub, QpipeEngine, QueryOpts, QueryTicket, ShareMode,
+    SharingPolicy, StageKind,
 };
 use qs_plan::{LogicalPlan, StarQuery};
 use qs_storage::{
     BufferPool, BufferPoolConfig, Catalog, DiskConfig, DiskModel,
 };
 use std::collections::HashMap;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// How queries are evaluated (the demo GUI's main switch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,8 +56,8 @@ pub enum ExecutionMode {
     /// Per-query routing: the [`crate::router::decide`] planner pass
     /// picks one of the fixed modes above for every submitted query, from
     /// plan shape, predicate selectivity estimates, live concurrency and
-    /// sharing-feedback counters. The engine is built with the full SP
-    /// machinery and a lazily-started CJOIN pipeline side by side.
+    /// CJOIN sharing feedback. The engine runs the reactive routes and a
+    /// lazily-started CJOIN pipeline the proactive ones.
     Auto,
 }
 
@@ -76,14 +86,6 @@ impl ExecutionMode {
             ExecutionMode::GqpSp => "GQP+SP",
             ExecutionMode::Auto => "AUTO",
         }
-    }
-
-    /// Whether this mode *eagerly* constructs the CJOIN pipeline at
-    /// database build time. `Auto` routes into the GQP too, but starts
-    /// its pipeline lazily on the first routed star query (and degrades
-    /// to query-centric execution if the catalog cannot host one).
-    pub fn uses_gqp(&self) -> bool {
-        matches!(self, ExecutionMode::Gqp | ExecutionMode::GqpSp)
     }
 }
 
@@ -134,37 +136,17 @@ impl DbConfig {
         }
     }
 
-    fn sharing_policy(&self) -> SharingPolicy {
-        if let Some(p) = self.sharing_override {
-            return p;
-        }
-        match self.mode {
-            ExecutionMode::QueryCentric => SharingPolicy::query_centric(),
-            ExecutionMode::SpPush => SharingPolicy::all_stages(ShareMode::Push),
-            ExecutionMode::SpPull => SharingPolicy::all_stages(ShareMode::Pull),
-            // GQP modes run the operators above CJOIN query-centric; SP on
-            // them is a separate dimension the demo leaves to the CJOIN
-            // stage, which qs-core implements itself (see submit()).
-            ExecutionMode::Gqp | ExecutionMode::GqpSp => SharingPolicy::query_centric(),
-            // Auto's engine-level baseline is query-centric: the router
-            // supplies a per-query `SharingPolicy` override at submit
-            // time for queries it sends down an SP route.
-            ExecutionMode::Auto => SharingPolicy::query_centric(),
-        }
-    }
-
-    /// The per-query sharing policy the router applies when it picks
-    /// `mode` for a routed query (honoring a config-level override, as
-    /// the fixed modes do).
-    pub fn routed_policy(&self, mode: ExecutionMode) -> SharingPolicy {
-        if let Some(p) = self.sharing_override {
-            return p;
-        }
-        match mode {
+    /// The sharing policy of a plan routed to `route`: SP at every stage
+    /// for the SP modes, query-centric otherwise (the GQP modes run the
+    /// operators above CJOIN query-centric, and their non-star plans fall
+    /// back to plain QPipe). `sharing_override` wins over the route, and
+    /// an explicit [`QueryOpts::sharing`] wins over both.
+    pub fn sharing_policy(&self, route: ExecutionMode) -> SharingPolicy {
+        self.sharing_override.unwrap_or_else(|| match route {
             ExecutionMode::SpPush => SharingPolicy::all_stages(ShareMode::Push),
             ExecutionMode::SpPull => SharingPolicy::all_stages(ShareMode::Pull),
             _ => SharingPolicy::query_centric(),
-        }
+        })
     }
 }
 
@@ -172,55 +154,54 @@ impl DbConfig {
 /// `catalog` (lineorder + date/customer/supplier/part).
 pub fn ssb_pipeline_spec(catalog: &Catalog) -> Result<PipelineSpec, EngineError> {
     let lo = catalog.get("lineorder")?;
-    let key = |name: &str| lo.schema().index_of(name).map_err(EngineError::from);
-    let dim = |table: &str, fk: usize| -> Result<qs_cjoin::DimSpec, EngineError> {
-        let t = catalog.get(table)?;
+    let dims = [
+        ("date", "lo_orderdate", "d_datekey"),
+        ("customer", "lo_custkey", "c_custkey"),
+        ("supplier", "lo_suppkey", "s_suppkey"),
+        ("part", "lo_partkey", "p_partkey"),
+    ];
+    let dims = dims.iter().map(|&(table, fact_col, key_col)| {
         Ok(qs_cjoin::DimSpec {
             table: table.to_string(),
-            fact_key: fk,
-            dim_key: t.schema().index_of(&format!(
-                "{}_{}key",
-                &table[..1],
-                match table {
-                    "date" => "date",
-                    "customer" => "cust",
-                    "supplier" => "supp",
-                    "part" => "part",
-                    _ => "x",
-                }
-            ))?,
+            fact_key: lo.schema().index_of(fact_col)?,
+            dim_key: catalog.get(table)?.schema().index_of(key_col)?,
         })
+    });
+    Ok(PipelineSpec::new("lineorder", dims.collect::<Result<_, EngineError>>()?))
+}
+
+/// Start the CJOIN pipeline `config` describes (the SSB star by default).
+fn start_pipeline(
+    engine: &QpipeEngine,
+    catalog: &Catalog,
+    config: &DbConfig,
+) -> Result<CjoinPipeline, EngineError> {
+    let spec = match &config.pipeline {
+        Some(spec) => spec.clone(),
+        None => ssb_pipeline_spec(catalog)?,
     };
-    Ok(PipelineSpec::new(
-        "lineorder",
-        vec![
-            dim("date", key("lo_orderdate")?)?,
-            dim("customer", key("lo_custkey")?)?,
-            dim("supplier", key("lo_suppkey")?)?,
-            dim("part", key("lo_partkey")?)?,
-        ],
-    ))
+    CjoinPipeline::new(engine.ctx().clone(), catalog, &spec)
+        .map_err(|e| EngineError::Aborted(e.to_string()))
 }
 
 /// One GqpSp share-registry entry: the in-flight admission's output hub
 /// plus the lease that keeps the admission alive.
 struct ShareEntry {
-    hub: Weak<qs_engine::OutputHub>,
+    hub: Weak<OutputHub>,
     lease: Weak<CjoinLease>,
 }
 
 type ShareRegistry = Mutex<HashMap<u64, ShareEntry>>;
 
-/// Shared ownership of one in-flight CJOIN admission (GQP+SP).
+/// Shared ownership of one in-flight CJOIN admission.
 ///
-/// Every query interested in the admission's output — the one that paid
-/// for the admission and every SP subscriber — holds one `Arc` through its
-/// ticket's cancel/deadline hook. When a query dies (cancelled, deadline,
-/// or its ticket dropped) its `Arc` goes with it; the *last* release
-/// removes the admission from the pipeline. This fixes the
-/// deadline-at-revolution bug where a dead GqpSp query kept consuming fact
-/// pages for the rest of the revolution because cancellation "for whoever
-/// still listens" had nobody checking whether anyone still listened.
+/// Every query reading the admission's output — the one that paid for the
+/// admission and, under GQP+SP, every SP subscriber — holds one `Arc`
+/// through its ticket's cancel/deadline hook. When a query dies
+/// (cancelled, deadline, or its ticket dropped) its `Arc` goes with it;
+/// the *last* release removes the admission from the pipeline, so a
+/// revolution nobody reads stops consuming fact pages. Only GQP+SP leases
+/// are published in the share registry; a plain GQP lease's is empty.
 struct CjoinLease {
     sig: u64,
     cancel: qs_cjoin::CjoinCancel,
@@ -249,21 +230,28 @@ impl Drop for CjoinLease {
     }
 }
 
+/// Where one plan goes ([`SharingDb::route`]).
+struct Route {
+    /// The fixed mode the plan runs under.
+    mode: ExecutionMode,
+    /// The star the plan rides CJOIN as: `Some` only on a GQP route of a
+    /// star plan. Every other plan runs on the engine.
+    star: Option<StarQuery>,
+    /// The router chose `mode` ([`ExecutionMode::Auto`]) rather than the
+    /// configuration pinning it; only then does the ticket record it.
+    routed: bool,
+}
+
 /// The unified system.
 pub struct SharingDb {
     catalog: Arc<Catalog>,
     pool: Arc<BufferPool>,
     engine: QpipeEngine,
-    /// Eagerly-built pipeline (the fixed GQP modes).
-    cjoin: Option<CjoinPipeline>,
-    /// Lazily-built pipeline for [`ExecutionMode::Auto`]: started on the
-    /// first routed star query; `Some(None)` caches a failed build so the
-    /// router degrades to reactive routes instead of retrying forever.
-    lazy_cjoin: std::sync::OnceLock<Option<CjoinPipeline>>,
-    /// Cached "a pipeline *could* be built" probe (spec resolution only,
-    /// no threads) — the router's `gqp_available` signal before the lazy
-    /// pipeline exists.
-    gqp_probe: std::sync::OnceLock<bool>,
+    /// The CJOIN pipeline: started in [`Self::new`] under the fixed GQP
+    /// modes, on the first GQP route under [`ExecutionMode::Auto`], never
+    /// under the others. `Some(None)` caches a failed lazy build, so GQP
+    /// routes degrade to query-centric execution instead of retrying.
+    pipeline: OnceLock<Option<CjoinPipeline>>,
     /// GqpSp: join-signature → live CJOIN admission (hub + lease).
     cjoin_registry: Arc<ShareRegistry>,
     /// Routing decisions (Auto mode only; zero otherwise).
@@ -289,6 +277,8 @@ impl SharingDb {
             None => BufferPoolConfig::unbounded(),
         };
         let pool = Arc::new(BufferPool::new(pool_cfg, disk));
+        // The engine's baseline policy stays query-centric: every plan
+        // carries its route's policy (`DbConfig::sharing_policy`).
         let engine = QpipeEngine::new(
             catalog.clone(),
             pool.clone(),
@@ -297,31 +287,21 @@ impl SharingDb {
                 workers: config.workers,
                 fifo_capacity: config.fifo_capacity,
                 out_page_bytes: config.out_page_bytes,
-                sharing: config.sharing_policy(),
                 admission: config.admission.clone(),
                 ..Default::default()
             },
         );
-        let cjoin = if config.mode.uses_gqp() {
-            let spec = config
-                .pipeline
-                .clone()
-                .map(Ok)
-                .unwrap_or_else(|| ssb_pipeline_spec(&catalog))?;
-            Some(
-                CjoinPipeline::new(engine.ctx().clone(), &catalog, &spec)
-                    .map_err(|e| EngineError::Aborted(e.to_string()))?,
-            )
-        } else {
-            None
-        };
+        // A pinned GQP mode that cannot build its pipeline fails here, at
+        // build time, not on its first star query.
+        let pipeline = OnceLock::new();
+        if matches!(config.mode, ExecutionMode::Gqp | ExecutionMode::GqpSp) {
+            let _ = pipeline.set(Some(start_pipeline(&engine, &catalog, &config)?));
+        }
         Ok(SharingDb {
             catalog,
             pool,
             engine,
-            cjoin,
-            lazy_cjoin: std::sync::OnceLock::new(),
-            gqp_probe: std::sync::OnceLock::new(),
+            pipeline,
             cjoin_registry: Arc::new(Mutex::new(HashMap::new())),
             router_stats: crate::router::RouterStats::default(),
             config,
@@ -385,58 +365,9 @@ impl SharingDb {
         self.pool.disk().reset_stats();
     }
 
-    /// The pipeline currently running, if any (eager or lazily started).
+    /// The pipeline currently running, if any.
     fn active_cjoin(&self) -> Option<&CjoinPipeline> {
-        match self.config.mode {
-            ExecutionMode::Auto => self.lazy_cjoin.get().and_then(|p| p.as_ref()),
-            _ => self.cjoin.as_ref(),
-        }
-    }
-
-    /// The pipeline for a GQP-routed submission, starting Auto's lazily.
-    /// The typed error (never a panic — this used to be an
-    /// `expect("GQP mode has a pipeline")`) lets the submit path degrade
-    /// to query-centric execution.
-    fn gqp_pipeline(&self) -> Result<&CjoinPipeline, EngineError> {
-        let slot = match self.config.mode {
-            ExecutionMode::Auto => self
-                .lazy_cjoin
-                .get_or_init(|| {
-                    let spec = match self
-                        .config
-                        .pipeline
-                        .clone()
-                        .map(Ok)
-                        .unwrap_or_else(|| ssb_pipeline_spec(&self.catalog))
-                    {
-                        Ok(s) => s,
-                        Err(_) => return None,
-                    };
-                    CjoinPipeline::new(self.engine.ctx().clone(), &self.catalog, &spec).ok()
-                })
-                .as_ref(),
-            _ => self.cjoin.as_ref(),
-        };
-        slot.ok_or_else(|| {
-            EngineError::Plan(qs_plan::PlanError::Invalid(
-                "GQP route needs a CJOIN pipeline, but none can be built for this catalog"
-                    .into(),
-            ))
-        })
-    }
-
-    /// Router signal: could a GQP route work at all? Cheap — resolves the
-    /// pipeline spec against the catalog (cached), never spawns threads.
-    fn gqp_route_available(&self) -> bool {
-        match self.config.mode {
-            ExecutionMode::Auto => match self.lazy_cjoin.get() {
-                Some(p) => p.is_some(),
-                None => *self.gqp_probe.get_or_init(|| {
-                    self.config.pipeline.is_some() || ssb_pipeline_spec(&self.catalog).is_ok()
-                }),
-            },
-            _ => self.cjoin.is_some(),
-        }
+        self.pipeline.get().and_then(Option::as_ref)
     }
 
     /// Parse, bind, optimize and submit a SQL `SELECT`. The statement goes
@@ -475,90 +406,93 @@ impl SharingDb {
         self.submit_with(plan, &QueryOpts::default())
     }
 
-    /// Submit one query with per-query options (deadline). The returned
-    /// ticket can also be cancelled ([`QueryTicket::cancel`]); in the GQP
-    /// mode cancellation propagates into the CJOIN pipeline as an early
-    /// removal, freeing the query's slot before its revolution completes.
+    /// Submit one query with per-query options (deadline): a batch of one.
+    /// The returned ticket can also be cancelled ([`QueryTicket::cancel`]);
+    /// on a GQP route cancellation propagates into the CJOIN pipeline as
+    /// an early removal once no query reads the admission any more,
+    /// freeing its slot before the revolution completes.
     pub fn submit_with(
         &self,
         plan: &LogicalPlan,
         opts: &QueryOpts,
     ) -> Result<QueryTicket, EngineError> {
-        match self.config.mode {
-            ExecutionMode::QueryCentric | ExecutionMode::SpPush | ExecutionMode::SpPull => {
-                self.engine.submit_with(plan, opts)
-            }
-            ExecutionMode::Gqp | ExecutionMode::GqpSp => {
-                self.submit_gqp_pinned(plan, opts, None, self.config.mode)
-            }
-            ExecutionMode::Auto => self.submit_routed(plan, opts, None),
-        }
+        let mut tickets = self.submit_batch_with(std::slice::from_ref(plan), opts)?;
+        Ok(tickets.pop().expect("one ticket per plan"))
     }
 
-    /// Submit a coordinated batch (the demo's batching knob): for the
-    /// QPipe modes the whole batch is built before execution starts
-    /// (maximal SP window). For the GQP modes the plans are admitted one
-    /// after another while the fact scan keeps running, so each query
-    /// starts its revolution on whatever page the scan has reached — the
-    /// batch's revolutions are staggered, not aligned. What the batch
-    /// buys there is sharing: output hubs stay pinned until every plan is
-    /// submitted, so identical CJOIN sub-plans in the batch ride one
-    /// admission.
+    /// Submit a coordinated batch (the demo's batching knob). Every member
+    /// that runs on the engine — all of them under QC and the SP modes,
+    /// the non-star plans under the GQP modes, the reactive routes under
+    /// Auto — is built before any of them starts (maximal SP window).
+    /// CJOIN members are admitted one after another while the fact scan
+    /// keeps running, so each starts its revolution on whatever page the
+    /// scan has reached — the batch's revolutions are staggered, not
+    /// aligned. What the batch buys there is sharing: output hubs stay
+    /// pinned until every plan is submitted, so identical CJOIN sub-plans
+    /// in the batch ride one admission.
     pub fn submit_batch(&self, plans: &[LogicalPlan]) -> Result<Vec<QueryTicket>, EngineError> {
         self.submit_batch_with(plans, &QueryOpts::default())
     }
 
     /// [`Self::submit_batch`] with per-query options applied to every
-    /// plan in the batch.
+    /// plan in the batch: the one submit path every `submit*` call takes.
     pub fn submit_batch_with(
         &self,
         plans: &[LogicalPlan],
         opts: &QueryOpts,
     ) -> Result<Vec<QueryTicket>, EngineError> {
-        match self.config.mode {
-            ExecutionMode::QueryCentric | ExecutionMode::SpPush | ExecutionMode::SpPull => {
-                self.engine.submit_batch_with(plans, opts)
-            }
-            ExecutionMode::Gqp | ExecutionMode::GqpSp => {
-                // Pin every admission's output hub until the whole batch
-                // is submitted: with a small fact table the pipeline can
-                // finish (and drop the hub) between two submissions, which
-                // would break the batch guarantee that identical CJOIN
-                // sub-plans share one admission. Pull-mode hubs replay the
-                // full history to late subscribers, so pinning is enough.
-                let mut pins: Vec<Arc<qs_engine::OutputHub>> = Vec::new();
-                plans
-                    .iter()
-                    .map(|p| self.submit_gqp_pinned(p, opts, Some(&mut pins), self.config.mode))
-                    .collect()
-            }
-            ExecutionMode::Auto => {
-                // Each plan is routed individually (one may ride CJOIN
-                // while its neighbor runs query-centric); hubs of any
-                // GQP-routed members are pinned across the whole batch so
-                // identical CJOIN sub-plans still share one admission.
-                let mut pins: Vec<Arc<qs_engine::OutputHub>> = Vec::new();
-                plans
-                    .iter()
-                    .map(|p| self.submit_routed(p, opts, Some(&mut pins)))
-                    .collect()
-            }
-        }
+        // Route each plan, then take its admission permit, before anything
+        // is built: Auto's load signal sees the members routed before it,
+        // and a queue wait never holds packets another query may already
+        // subscribe to. One permit per query, CJOIN routes included — the
+        // consumer half of a CJOIN query takes none of its own.
+        let routed = plans
+            .iter()
+            .map(|plan| {
+                let route = self.route(plan);
+                let permit = self.engine.admission().map(|gate| gate.admit()).transpose()?;
+                Ok((route, permit))
+            })
+            .collect::<Result<Vec<_>, EngineError>>()?;
+        let mut batch = self.engine.batch();
+        let mut pins = Vec::new();
+        let tickets = plans
+            .iter()
+            .zip(routed)
+            .map(|(plan, (route, permit))| {
+                self.dispatch(plan, opts, route, permit, &mut batch, &mut pins)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        batch.dispatch();
+        Ok(tickets)
     }
 
-    /// [`ExecutionMode::Auto`]: run the router pass, then submit under the
-    /// mode it picked. The decision is recorded on the ticket
-    /// ([`QueryTicket::route`]) and in [`Self::router_stats`].
-    fn submit_routed(
-        &self,
-        plan: &LogicalPlan,
-        opts: &QueryOpts,
-        pins: Option<&mut Vec<Arc<qs_engine::OutputHub>>>,
-    ) -> Result<QueryTicket, EngineError> {
-        let star = StarQuery::detect(plan, &self.catalog);
-        let gqp_available = star.is_some() && self.gqp_route_available();
+    /// Where `plan` goes. A fixed mode is a router that always answers
+    /// with itself; only the GQP modes look at the plan, since a non-star
+    /// plan cannot ride CJOIN. [`ExecutionMode::Auto`] gathers the
+    /// router's signals, asks [`crate::router::decide`] and counts the
+    /// decision in [`Self::router_stats`].
+    fn route(&self, plan: &LogicalPlan) -> Route {
+        let mode = self.config.mode;
+        let star = match mode {
+            ExecutionMode::QueryCentric | ExecutionMode::SpPush | ExecutionMode::SpPull => None,
+            _ => StarQuery::detect(plan, &self.catalog),
+        };
+        if mode != ExecutionMode::Auto {
+            return Route {
+                mode,
+                star,
+                routed: false,
+            };
+        }
+        // A GQP route is open while the pipeline runs or, before the first
+        // GQP route starts it, while its spec resolves against the catalog.
+        let gqp_available = star.is_some()
+            && match self.pipeline.get() {
+                Some(p) => p.is_some(),
+                None => self.config.pipeline.is_some() || ssb_pipeline_spec(&self.catalog).is_ok(),
+            };
         let m = self.engine.metrics();
-        let cstats = self.cjoin_stats().unwrap_or_default();
         let signals = crate::router::RouteSignals {
             star: star.is_some(),
             selectivity: star
@@ -573,81 +507,89 @@ impl SharingDb {
                         .is_some_and(|e| e.lease.strong_count() > 0 && e.hub.strong_count() > 0)
                 }),
             cjoin_sp_hits: m.sp_hits_for(StageKind::Cjoin),
-            sp_hits: m.total_sp_hits(),
-            pages_shared: m.pages_shared,
-            admission_evals: cstats.admission_evals,
-            panics_contained: m.panics_contained + cstats.aborts,
+            panics_contained: m.panics_contained
+                + self.active_cjoin().map_or(0, |c| c.stats().aborts),
         };
         let mode = crate::router::decide(&signals);
         self.router_stats.record(mode);
-        let ticket = match mode {
-            ExecutionMode::QueryCentric | ExecutionMode::SpPush | ExecutionMode::SpPull => {
-                // The engine was built with a query-centric baseline
-                // policy; SP routes ride the per-query override (an
-                // explicit caller override wins, like the fixed modes).
-                let routed = match opts.sharing {
-                    Some(_) => opts.clone(),
-                    None => opts.clone().with_sharing(self.config.routed_policy(mode)),
-                };
-                self.engine.submit_with(plan, &routed)?
-            }
-            ExecutionMode::Gqp | ExecutionMode::GqpSp => {
-                self.submit_gqp_pinned(plan, opts, pins, mode)?
-            }
-            ExecutionMode::Auto => unreachable!("router decisions are fixed modes"),
-        };
-        Ok(ticket.with_route(mode.label()))
+        let gqp = matches!(mode, ExecutionMode::Gqp | ExecutionMode::GqpSp);
+        Route {
+            mode,
+            star: star.filter(|_| gqp),
+            routed: true,
+        }
     }
 
-    fn submit_gqp_pinned(
+    /// Send one routed plan on its way: a GQP route of a star plan to
+    /// CJOIN, every other plan into the batch's engine batch under its
+    /// route's sharing policy. `permit` (taken at routing) rides the
+    /// ticket.
+    fn dispatch(
         &self,
         plan: &LogicalPlan,
         opts: &QueryOpts,
-        pins: Option<&mut Vec<Arc<qs_engine::OutputHub>>>,
-        mode: ExecutionMode,
+        route: Route,
+        permit: Option<AdmissionPermit>,
+        batch: &mut BatchBuilder<'_>,
+        pins: &mut Vec<Arc<OutputHub>>,
     ) -> Result<QueryTicket, EngineError> {
-        let cjoin = match self.gqp_pipeline() {
-            Ok(c) => c,
-            // No pipeline (Auto's lazy build failed, or a future caller
-            // misroutes): degrade to query-centric execution. The old code
-            // panicked here, taking the whole worker down for a plan the
-            // engine could evaluate fine.
-            Err(EngineError::Plan(_)) => return self.engine.submit_with(plan, opts),
-            Err(e) => return Err(e),
+        // A GQP route starts Auto's pipeline on first use.
+        let cjoin = route.star.as_ref().and_then(|star| {
+            let start = || start_pipeline(&self.engine, &self.catalog, &self.config).ok();
+            Some((self.pipeline.get_or_init(start).as_ref()?, star))
+        });
+        let mut ticket = match cjoin {
+            Some((cjoin, star)) => {
+                let share = route.mode == ExecutionMode::GqpSp;
+                let (source, lease) = self.admit(cjoin, star, share, pins)?;
+                // Run the query-centric operators above the join on the
+                // CJOIN output: `submit_consumer_with` replaces the plan's
+                // join/scan leaf with the external stream.
+                let mut ticket = self.engine.submit_consumer_with(plan, source, opts)?;
+                if let Some(p) = permit {
+                    ticket = ticket.with_permit(p);
+                }
+                // Fires on cancel/deadline; if neither happens the unfired
+                // hook (and the lease with it) drops with the query's ctl.
+                ticket.ctl().set_hook(Box::new(move || drop(lease)));
+                ticket
+            }
+            // A reactive route, a non-star plan, or no pipeline to ride
+            // (Auto's lazy build failed): QPipe operators, under the
+            // route's sharing policy unless the caller set one.
+            None => {
+                let sharing = opts
+                    .sharing
+                    .unwrap_or_else(|| self.config.sharing_policy(route.mode));
+                batch.add(plan, &opts.clone().with_sharing(sharing), permit)?
+            }
         };
-        let Some(star) = StarQuery::detect(plan, &self.catalog) else {
-            // Not a star query: CJOIN cannot evaluate it; fall back to
-            // query-centric operators (paper §3).
-            return self.engine.submit_with(plan, opts);
-        };
+        if route.routed {
+            ticket = ticket.with_route(route.mode.label());
+        }
+        Ok(ticket)
+    }
 
-        // Admission-gate the star path too. The CJOIN consumer half is
-        // submitted via `submit_consumer_with`, which deliberately takes
-        // no permit (see its docs), so without this the overload valve
-        // only protected the QC/SP modes — a GQP server would accept
-        // unbounded concurrent queries and never shed. One permit per
-        // query, acquired before anything is held, so the queue wait
-        // cannot deadlock against another admitted query.
-        let permit = match self.engine.admission() {
-            Some(gate) => Some(gate.admit()?),
-            None => None,
-        };
-
+    /// A CJOIN output stream for a GQP-routed star, and the lease that
+    /// holds its admission. Under GQP+SP (`share`) an identical live
+    /// admission is subscribed to instead (an SP hit at the CJOIN stage),
+    /// and a new one is published and its hub pinned in `pins` until the
+    /// batch is submitted: a small fact table's revolution can end between
+    /// two members, and pull-mode hubs replay their whole history to late
+    /// subscribers, so pinning keeps identical members on one admission.
+    fn admit(
+        &self,
+        cjoin: &CjoinPipeline,
+        star: &StarQuery,
+        share: bool,
+        pins: &mut Vec<Arc<OutputHub>>,
+    ) -> Result<(Box<dyn BatchSource>, Arc<CjoinLease>), EngineError> {
         let metrics = self.engine.metrics_handle();
-        // In plain GQP every admission belongs to exactly one query, so
-        // cancelling the query removes its CJOIN admission directly. In
-        // GqpSp an admission's output can acquire SP subscribers at any
-        // time, so ownership is shared: every interested query holds an
-        // `Arc<CjoinLease>` through its ticket hook, and only the *last*
-        // release (cancel, deadline, or ticket drop) removes the
-        // admission. Survivors are safe — CJOIN keeps streaming until the
-        // lease count hits zero — while a revolution with no listeners
-        // left stops consuming fact pages instead of running to the end.
-        let mut cancel_hook: Option<qs_cjoin::CjoinCancel> = None;
-        let mut lease_hook: Option<Arc<CjoinLease>> = None;
-        let source: Box<dyn qs_engine::BatchSource> = if mode == ExecutionMode::GqpSp {
-            let sig = star.join_signature();
-            let mut reg = self.cjoin_registry.lock();
+        let sig = star.join_signature();
+        // Held across the admission, so two identical stars cannot both
+        // miss and admit twice.
+        let mut reg = share.then(|| self.cjoin_registry.lock());
+        if let Some(reg) = &reg {
             // A hit needs the hub (to subscribe), a live lease (a dead
             // lease means the admission is being torn down — treat as a
             // miss and replace the entry), and an open SP window.
@@ -660,69 +602,38 @@ impl SharingDb {
                 let lease = e.lease.upgrade()?;
                 Some((reader, lease))
             });
-            match hit {
-                Some((reader, lease)) => {
-                    // SP hit on the CJOIN stage: this query reuses the
-                    // in-flight admission's output.
-                    metrics.sp_hit(StageKind::Cjoin);
-                    lease_hook = Some(lease);
-                    reader
-                }
-                None => {
-                    metrics.sp_miss(StageKind::Cjoin);
-                    let q = cjoin
-                        .admit(&star)
-                        .map_err(|e| EngineError::Aborted(e.to_string()))?;
-                    metrics.packet(StageKind::Cjoin);
-                    let lease = Arc::new(CjoinLease {
-                        sig,
-                        cancel: q.cancel.clone(),
-                        registry: Arc::downgrade(&self.cjoin_registry),
-                    });
-                    reg.insert(
-                        sig,
-                        ShareEntry {
-                            hub: Arc::downgrade(&q.hub),
-                            lease: Arc::downgrade(&lease),
-                        },
-                    );
-                    if reg.len() > 1024 {
-                        reg.retain(|_, e| e.hub.strong_count() > 0);
-                    }
-                    if let Some(pins) = pins {
-                        pins.push(q.hub.clone());
-                    }
-                    lease_hook = Some(lease);
-                    q.reader
-                }
+            if let Some(hit) = hit {
+                metrics.sp_hit(StageKind::Cjoin);
+                return Ok(hit);
             }
-        } else {
-            let q = cjoin
-                .admit(&star)
-                .map_err(|e| EngineError::Aborted(e.to_string()))?;
-            metrics.packet(StageKind::Cjoin);
-            cancel_hook = Some(q.cancel.clone());
-            q.reader
-        };
-
-        // Run the query-centric operators above the join on the CJOIN
-        // output. `submit_consumer` replaces the plan's join/scan leaf
-        // with the external stream.
-        let mut ticket = self.engine.submit_consumer_with(plan, source, opts)?;
-        if let Some(p) = permit {
-            ticket = ticket.with_permit(p);
+            metrics.sp_miss(StageKind::Cjoin);
         }
-        if let Some(cancel) = cancel_hook {
-            ticket
-                .ctl()
-                .set_hook(Box::new(move || cancel.cancel()));
+        let q = cjoin
+            .admit(star)
+            .map_err(|e| EngineError::Aborted(e.to_string()))?;
+        metrics.packet(StageKind::Cjoin);
+        let lease = Arc::new(CjoinLease {
+            sig,
+            cancel: q.cancel.clone(),
+            registry: match reg {
+                Some(_) => Arc::downgrade(&self.cjoin_registry),
+                None => Weak::new(),
+            },
+        });
+        if let Some(reg) = &mut reg {
+            reg.insert(
+                sig,
+                ShareEntry {
+                    hub: Arc::downgrade(&q.hub),
+                    lease: Arc::downgrade(&lease),
+                },
+            );
+            if reg.len() > 1024 {
+                reg.retain(|_, e| e.hub.strong_count() > 0);
+            }
+            pins.push(q.hub.clone());
         }
-        if let Some(lease) = lease_hook {
-            // Fires on cancel/deadline; if neither happens the unfired
-            // hook (and the lease with it) drops with the query's ctl.
-            ticket.ctl().set_hook(Box::new(move || drop(lease)));
-        }
-        Ok(ticket)
+        Ok((q.reader, lease))
     }
 }
 
@@ -864,9 +775,6 @@ mod tests {
         let labels: std::collections::HashSet<&str> =
             ExecutionMode::all().iter().map(|m| m.label()).collect();
         assert_eq!(labels.len(), 5);
-        assert!(ExecutionMode::Gqp.uses_gqp());
-        assert!(ExecutionMode::GqpSp.uses_gqp());
-        assert!(!ExecutionMode::SpPull.uses_gqp());
     }
 
     /// A predicate-free one-dim star over the SSB tables (selectivity
@@ -928,18 +836,105 @@ mod tests {
         assert_eq!(db.router_stats().gqp_sp, 1);
 
         // Non-star plans can never ride CJOIN.
-        let scan = qs_plan::LogicalPlan::Scan {
-            table: "date".into(),
-            predicate: None,
-            projection: None,
-        };
-        let t = db.submit(&scan).unwrap();
+        let t = db.submit(&date_scan()).unwrap();
         assert_eq!(t.route(), Some("SP-SPL"));
         assert!(t.drain().is_ok());
         assert_eq!(db.router_stats().total(), 2);
 
         // The lazy pipeline exists now, and stats flow through it.
         assert!(db.cjoin_stats().is_some());
+    }
+
+    fn date_scan() -> qs_plan::LogicalPlan {
+        qs_plan::LogicalPlan::Scan {
+            table: "date".into(),
+            predicate: None,
+            projection: None,
+        }
+    }
+
+    /// A pinned mode is a router with a fixed answer: its tickets carry no
+    /// route and the router counters stay at zero, while every `Auto`
+    /// submission records exactly one decision. Rows match QC either way,
+    /// for a star and a non-star plan, alone and as a batch.
+    #[test]
+    fn pinned_and_routed_submissions_keep_their_bookkeeping() {
+        // Runs CJOIN pipelines: serialize on the fault registry.
+        let _guard = qs_storage::fault::test_guard();
+        use qs_engine::reference::canon;
+        let cat = tiny_ssb();
+        let qc = SharingDb::new(cat.clone(), DbConfig::new(ExecutionMode::QueryCentric)).unwrap();
+        let plans = [open_star_plan(&qc), date_scan()];
+        let expect: Vec<_> = plans
+            .iter()
+            .map(|p| canon(qc.submit(p).unwrap().collect_rows().unwrap()))
+            .collect();
+        for mode in ExecutionMode::all().into_iter().chain([ExecutionMode::Auto]) {
+            let db = SharingDb::new(cat.clone(), DbConfig::new(mode)).unwrap();
+            let label = mode.label();
+            let routed = mode == ExecutionMode::Auto;
+            let decisions = |n: usize| if routed { n as u64 } else { 0 };
+            let mut tickets = Vec::new();
+            for plan in &plans {
+                tickets.push(db.submit(plan).unwrap());
+                assert_eq!(db.router_stats().total(), decisions(tickets.len()), "{label}");
+            }
+            tickets.extend(db.submit_batch(&plans).unwrap());
+            assert_eq!(db.router_stats().total(), decisions(tickets.len()), "{label}");
+            for (t, expect) in tickets.into_iter().zip(expect.iter().cycle()) {
+                assert_eq!(t.route().is_some(), routed, "{label}: route on the ticket");
+                assert_eq!(canon(t.collect_rows().unwrap()), *expect, "{label}: rows");
+            }
+        }
+    }
+
+    /// An `Auto` batch builds all its reactive members before any of them
+    /// starts. With no admission gate (load unknown) every non-star plan
+    /// routes SP-SPL, so k identical plans share deterministically: each
+    /// member after the first subscribes at the root stage.
+    #[test]
+    fn auto_batch_members_share_one_sp_window() {
+        // SP registry lookups honor failpoints: serialize on the registry.
+        let _guard = qs_storage::fault::test_guard();
+        use qs_engine::reference::{canon, eval};
+        use qs_plan::{AggFunc, AggSpec};
+        let cat = tiny_ssb();
+        let db = SharingDb::new(cat.clone(), DbConfig::new(ExecutionMode::Auto)).unwrap();
+        let lo = cat.get("lineorder").unwrap();
+        let plan = LogicalPlan::Aggregate {
+            input: Box::new(LogicalPlan::Scan {
+                table: "lineorder".into(),
+                predicate: None,
+                projection: None,
+            }),
+            group_by: vec![lo.schema().index_of("lo_quantity").unwrap()],
+            aggs: vec![AggSpec::new(
+                AggFunc::Sum(lo.schema().index_of("lo_revenue").unwrap()),
+                "sum_rev",
+            )],
+        };
+        let expect = canon(eval(&plan, &cat).unwrap());
+        let k = 4;
+        let tickets = db.submit_batch(&vec![plan.clone(); k]).unwrap();
+        assert_eq!(db.metrics().sp_hits_for(StageKind::Aggregate), k as u64 - 1);
+        for t in tickets {
+            assert_eq!(t.route(), Some("SP-SPL"));
+            assert_eq!(canon(t.collect_rows().unwrap()), expect);
+        }
+
+        // A star member between them starts Auto's CJOIN pipeline (it loads
+        // every dimension) while the batch is being submitted; the
+        // non-stars still share, since none starts before the last member.
+        let db = SharingDb::new(cat.clone(), DbConfig::new(ExecutionMode::Auto)).unwrap();
+        let star = open_star_plan(&db);
+        let star_rows = canon(eval(&star, &cat).unwrap());
+        let tickets = db.submit_batch(&[plan.clone(), star, plan]).unwrap();
+        assert_eq!(db.metrics().sp_hits_for(StageKind::Aggregate), 1);
+        let routes: Vec<_> = tickets.iter().map(|t| t.route().unwrap()).collect();
+        assert_eq!(routes, ["SP-SPL", "GQP+SP", "SP-SPL"]);
+        for (t, expect) in tickets.into_iter().zip([&expect, &star_rows, &expect]) {
+            assert_eq!(canon(t.collect_rows().unwrap()), *expect);
+        }
     }
 
     /// Satellite regression: a GQP-routed submission without a working
@@ -950,9 +945,9 @@ mod tests {
         let cat = tiny_ssb();
         let qc = SharingDb::new(cat.clone(), DbConfig::new(ExecutionMode::QueryCentric)).unwrap();
 
-        // A spec naming a missing fact table passes the cheap availability
-        // probe (`config.pipeline.is_some()`) but fails the lazy build, so
-        // the router picks the GQP route and the submit path has to cope.
+        // No build has failed yet, so the router picks the GQP route; a
+        // spec naming a missing fact table then fails the lazy build, and
+        // the submit path has to cope.
         let mut cfg = DbConfig::new(ExecutionMode::Auto);
         cfg.pipeline = Some(qs_cjoin::PipelineSpec::new("no_such_table", vec![]));
         let db = SharingDb::new(cat, cfg).unwrap();
@@ -962,8 +957,10 @@ mod tests {
         let t = db.submit(&plan).unwrap();
         assert_eq!(t.route(), Some("GQP+SP"), "decision is still recorded");
         assert_eq!(t.drain().unwrap(), expect, "query-centric fallback ran");
-        // The failed build is cached: no pipeline, stats stay absent.
+        // The failed build is cached: no pipeline, stats stay absent, and
+        // later stars route reactively.
         assert!(db.cjoin_stats().is_none());
+        assert_eq!(db.submit(&plan).unwrap().route(), Some("SP-SPL"));
     }
 
     /// Satellite regression: in GQP+SP, a query that dies mid-revolution

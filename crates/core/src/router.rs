@@ -14,10 +14,10 @@
 //! * **live concurrency** — [`AdmissionGate::load`]: sharing of any kind
 //!   only pays off when there is someone to share *with* (scenario 2: the
 //!   shared revolution amortizes across clients and CJOIN wins ~2.7×);
-//! * **sharing feedback** — the SP hit counters, `pages_shared`,
-//!   `admission_evals` and `panics_contained` from the metrics the engine
-//!   and CJOIN pipeline already export: evidence that sharing is landing
-//!   lowers the concurrency bar for the proactive route.
+//! * **sharing feedback** — SP hits at the CJOIN stage, from the metrics
+//!   the engine already exports: evidence that sharing is landing lowers
+//!   the concurrency bar for the proactive route, unless the engine or the
+//!   CJOIN pipeline has contained a panic since the last metrics reset.
 //!
 //! Correctness never depends on the decision: the five fixed modes are
 //! byte-identical on every plan (the differential fuzzer's oracle), so the
@@ -49,10 +49,10 @@ pub const GQP_CONCURRENCY_FLOOR: usize = 2;
 /// shows it losing ~5× at low concurrency. The crossover sits between.
 pub const SELECTIVE_GQP_CONCURRENCY_FLOOR: usize = 6;
 
-/// Everything the router looks at for one query. Gathered by
-/// [`SharingDb::submit_with`](crate::SharingDb::submit_with) from state it
-/// already tracks; no signal requires extra work per query beyond the
-/// star detection the GQP path performs anyway.
+/// Everything the router looks at for one query. Gathered at submit time
+/// ([`SharingDb::submit_batch_with`](crate::SharingDb::submit_batch_with))
+/// from state the system already tracks; no signal requires extra work
+/// per query beyond the star detection the GQP route needs anyway.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RouteSignals {
     /// The plan is a recognized star query.
@@ -70,12 +70,6 @@ pub struct RouteSignals {
     pub live_share: bool,
     /// SP hits at the CJOIN stage since the last metrics reset.
     pub cjoin_sp_hits: u64,
-    /// SP hits across all QPipe stages.
-    pub sp_hits: u64,
-    /// Pages shared via SPL (pull-mode SP evidence).
-    pub pages_shared: u64,
-    /// CJOIN admission predicate evaluations (proactive-path cost paid).
-    pub admission_evals: u64,
     /// Panics contained by the engine or the CJOIN pipeline. Containment
     /// means co-runners were unaffected, but a non-zero count makes the
     /// feedback counters untrustworthy for *lowering* thresholds.

@@ -162,9 +162,6 @@ pub struct QueryTicket {
     /// Execution-mode label recorded by the router (`None` for pinned
     /// modes — the mode was the submitter's, not a routing decision).
     route: Option<&'static str>,
-    /// Opaque resource held for the ticket's lifetime (e.g. the shared
-    /// CJOIN admission lease in GQP+SP mode). Dropped with the ticket.
-    _hold: Option<Arc<dyn std::any::Any + Send + Sync>>,
 }
 
 impl QueryTicket {
@@ -216,13 +213,6 @@ impl QueryTicket {
     /// mode router (`None` when the mode was pinned).
     pub fn route(&self) -> Option<&'static str> {
         self.route
-    }
-
-    /// Keep `hold` alive for the ticket's lifetime. Used by `qs-core` to
-    /// tie a shared CJOIN admission lease to every interested ticket.
-    pub fn with_hold(mut self, hold: Arc<dyn std::any::Any + Send + Sync>) -> Self {
-        self._hold = Some(hold);
-        self
     }
 
     /// Pull the next result batch without materializing (zero-copy
@@ -431,38 +421,30 @@ impl QpipeEngine {
         plans: &[LogicalPlan],
         opts: &QueryOpts,
     ) -> Result<Vec<QueryTicket>, EngineError> {
-        let mut permits = Vec::with_capacity(plans.len());
-        if let Some(gate) = &self.admission {
-            for _ in plans {
-                permits.push(Some(gate.admit()?));
-            }
-        } else {
-            permits.resize_with(plans.len(), || None);
-        }
-        let policy = opts.sharing.unwrap_or(self.config.sharing);
-        let mut pending: Vec<(StageKind, Packet)> = Vec::new();
-        let mut tickets = Vec::with_capacity(plans.len());
-        for (plan, permit) in plans.iter().zip(&mut permits) {
-            plan.validate(&self.catalog)?;
-            let schema = plan.output_schema(&self.catalog)?;
-            let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
-            let ctl = QueryCtl::new(opts, self.ctx.metrics.clone());
-            let source = self.build_node(plan, query_id, &ctl, &policy, &mut pending, true)?;
-            tickets.push(QueryTicket {
-                query_id,
-                schema,
-                source,
-                metrics: self.ctx.metrics.clone(),
-                ctl,
-                _permit: permit.take(),
-                route: None,
-                _hold: None,
-            });
-        }
-        for (kind, packet) in pending {
-            self.stages[kind as usize].dispatch(packet);
-        }
+        let permits = plans
+            .iter()
+            .map(|_| self.admission.as_ref().map(|gate| gate.admit()).transpose())
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut batch = self.batch();
+        let tickets = plans
+            .iter()
+            .zip(permits)
+            .map(|(plan, permit)| batch.add(plan, opts, permit))
+            .collect::<Result<Vec<_>, _>>()?;
+        batch.dispatch();
         Ok(tickets)
+    }
+
+    /// Start a batch whose packets are built (and registered for SP) as
+    /// plans are added, and dispatched together by
+    /// [`BatchBuilder::dispatch`]: the one way plans enter the engine's
+    /// stages, shared by [`Self::submit_batch_with`] and by integration
+    /// layers that route some plans of a batch elsewhere.
+    pub fn batch(&self) -> BatchBuilder<'_> {
+        BatchBuilder {
+            engine: self,
+            pending: Vec::new(),
+        }
     }
 
     /// Submit a plan *around* an externally produced input stream: the
@@ -499,7 +481,6 @@ impl QpipeEngine {
             ctl,
             _permit: None,
             route: None,
-            _hold: None,
         })
     }
 
@@ -743,5 +724,66 @@ impl QpipeEngine {
             source = primary;
         }
         Ok(source)
+    }
+}
+
+/// A batch of plans being built into packets ([`QpipeEngine::batch`]).
+/// Nothing runs until the batch is dispatched, so every identical
+/// sub-plan in it shares — even in push mode, whose window closes at the
+/// first produced page.
+pub struct BatchBuilder<'e> {
+    engine: &'e QpipeEngine,
+    pending: Vec<(StageKind, Packet)>,
+}
+
+impl BatchBuilder<'_> {
+    /// Build `plan`'s packets under `opts` (its sharing policy, or the
+    /// engine's, decides which stages register for SP). `permit` is the
+    /// query's admission slot, freed when its ticket drops; the caller
+    /// acquires it, before building anything.
+    pub fn add(
+        &mut self,
+        plan: &LogicalPlan,
+        opts: &QueryOpts,
+        permit: Option<AdmissionPermit>,
+    ) -> Result<QueryTicket, EngineError> {
+        let engine = self.engine;
+        plan.validate(&engine.catalog)?;
+        let schema = plan.output_schema(&engine.catalog)?;
+        let query_id = engine.next_query_id.fetch_add(1, Ordering::Relaxed);
+        let ctl = QueryCtl::new(opts, engine.ctx.metrics.clone());
+        let policy = opts.sharing.unwrap_or(engine.config.sharing);
+        let source = engine.build_node(plan, query_id, &ctl, &policy, &mut self.pending, true)?;
+        Ok(QueryTicket {
+            query_id,
+            schema,
+            source,
+            metrics: engine.ctx.metrics.clone(),
+            ctl,
+            _permit: permit,
+            route: None,
+        })
+    }
+
+    /// Start every packet built so far.
+    pub fn dispatch(mut self) {
+        self.flush();
+    }
+
+    fn flush(&mut self) {
+        for (kind, packet) in self.pending.drain(..) {
+            self.engine.stages[kind as usize].dispatch(packet);
+        }
+    }
+}
+
+impl Drop for BatchBuilder<'_> {
+    /// A batch abandoned part-way (a later plan failed) still runs what it
+    /// built: an SP-registered packet may already feed another query's
+    /// subscriber, which would otherwise wait on a producer that never
+    /// starts. A packet left with no reader ends unread: a FIFO push fails
+    /// at once, an SPL packet runs out.
+    fn drop(&mut self) {
+        self.flush();
     }
 }

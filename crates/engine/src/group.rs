@@ -853,6 +853,8 @@ mod tests {
 
     #[test]
     fn parallel_resolution_matches_sequential_slot_for_slot() {
+        // Runs worker-pool tasks: serialize on the fault registry.
+        let _guard = qs_storage::fault::test_guard();
         use crate::metrics::Metrics;
         use crate::pool::WorkerPool;
         // Enough rows to clear PARALLEL_MIN_ROWS, spread over two
@@ -898,6 +900,8 @@ mod tests {
 
     #[test]
     fn parallel_resolution_matches_on_columnar_pages() {
+        // Runs worker-pool tasks: serialize on the fault registry.
+        let _guard = qs_storage::fault::test_guard();
         use crate::metrics::Metrics;
         use crate::pool::WorkerPool;
         let rows: Vec<(i64, u32, &str, &str, i64)> = (0..(PARALLEL_MIN_ROWS as i64 * 2))

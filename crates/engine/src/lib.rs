@@ -44,7 +44,7 @@ pub mod spl;
 pub mod stage;
 
 pub use ctl::{CancelHandle, QueryCtl, QueryOpts};
-pub use engine::{EngineConfig, QpipeEngine, QueryTicket, SharingPolicy};
+pub use engine::{BatchBuilder, EngineConfig, QpipeEngine, QueryTicket, SharingPolicy};
 pub use error::{EngineError, RetryHint};
 pub use fifo::{BatchSource, EngineBatch, FifoBuffer, FifoReader};
 pub use governor::{AdmissionConfig, AdmissionGate, AdmissionPermit, CoreGovernor};

@@ -179,6 +179,30 @@ fn full_sharing_shares_whole_plan() {
     assert_eq!(m.sp_hits_for(StageKind::Sort), 2);
 }
 
+/// A batch dropped before it is dispatched (a later member failed) still
+/// starts what it built: another query may already ride one of its packets.
+#[test]
+fn abandoned_batch_still_runs_the_packets_others_ride() {
+    let cat = ssb_catalog();
+    let eng = engine(&cat, SharingPolicy::all_stages(ShareMode::Pull));
+    let plan = SsbTemplate::Q2_1
+        .plan(&cat, &TemplateParams::variant(0))
+        .unwrap();
+    let expected = eval(&plan, &cat).unwrap();
+    let mut batch = eng.batch();
+    let owner = batch.add(&plan, &Default::default(), None).unwrap();
+    let rider = eng.submit(&plan).unwrap();
+    assert_eq!(eng.metrics().sp_hits_for(StageKind::Sort), 1);
+    drop(owner);
+    drop(batch);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(rider.collect_rows()));
+    let got = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the rider's producer never started");
+    assert_rows_match(got.unwrap(), expected, 1e-9);
+}
+
 #[test]
 fn different_predicates_do_not_share() {
     let cat = ssb_catalog();
