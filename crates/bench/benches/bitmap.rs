@@ -76,12 +76,19 @@ const QUERIES: usize = 16;
 fn probe_setup(keys: &[i64], max_queries: usize, seed: u64) -> (DimJoin, Vec<i64>, FactBatch) {
     let mut rng = StdRng::seed_from_u64(seed);
     let join = DimJoin::new(keys, max_queries);
-    for q in 0..QUERIES as u32 {
-        join.write_bypass(q, q < 4);
+    let w = join.words();
+    let mut mask = vec![0u64; w];
+    let mut values = vec![0u64; keys.len() * w];
+    for q in 0..QUERIES {
+        join.write_bypass(q as u32, q < 4);
+        mask[q / 64] |= 1 << (q % 64);
         for e in 0..keys.len() {
-            join.write_entry(e, q, rng.random_bool(0.33));
+            if rng.random_bool(0.33) {
+                values[e * w + q / 64] |= 1 << (q % 64);
+            }
         }
     }
+    join.write_entries(&mask, &values);
     let fks: Vec<i64> = (0..BATCH)
         .map(|_| {
             if rng.random_bool(0.05) {

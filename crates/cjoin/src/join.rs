@@ -14,18 +14,27 @@
 //! # Why plain loads suffice
 //!
 //! Entry bits and bypass bits are written by admission on the client
-//! thread while the join stages run. Query `q`'s bits are all written
-//! before its `Admit` control message is sent to the preprocessor, and a
-//! tuple can carry bit `q` only if the preprocessor evaluated it *after*
-//! receiving that message; the batch then reaches each join stage
-//! through further channel hand-offs. Channel send/receive orders those
-//! writes before the stage's loads, so a stage that loads the bypass
-//! words once when it starts a batch, and the entry words with
-//! `Relaxed` loads, sees every bit of every query the batch carries. Bits
-//! of queries the batch does not carry may be stale or mid-update, but
-//! they are ANDed into zero tuple bits and cannot change the result. A
-//! slot is rewritten only after its previous occupant's terminal message
-//! has passed every stage, i.e. after every batch carrying the old bit.
+//! thread while the join stages run. An admitted batch's bits are all
+//! written before its one `Admit` control message is sent to the
+//! preprocessor, and a tuple can carry a member's bit only if the
+//! preprocessor evaluated it *after* receiving that message; the batch
+//! then reaches each join stage through further channel hand-offs.
+//! Channel send/receive orders those writes before the stage's loads, so
+//! a stage that loads the bypass words once when it starts a batch, and
+//! the entry words with `Relaxed` loads, sees every bit of every query the
+//! batch carries. Bits of queries the batch does not carry may be stale or
+//! mid-update, but they are ANDed into zero tuple bits and cannot change
+//! the result. A slot is rewritten only after its previous occupant's
+//! terminal message has passed every stage, i.e. after every batch
+//! carrying the old bit.
+//!
+//! Admission writes an entry word with one plain store
+//! ([`DimJoin::write_entries`]), which also rewrites the bits of the
+//! co-resident queries sharing that word. That is safe because every
+//! writer of entry bits holds the pipeline's predicate-cache lock, so no
+//! other write can land between the load and the store, and the stored
+//! word keeps every other slot's bits as loaded: a concurrent probe sees
+//! the old word or the new one, which differ only in the admitted slots.
 
 use crate::bitmap::AtomicBitmap;
 use qs_storage::{mask_words, FactBatch};
@@ -135,16 +144,27 @@ impl DimJoin {
         self.words
     }
 
-    /// Write query `slot`'s bit of `entry` (admission sets or clears it
-    /// explicitly, so a reused slot never sees its predecessor's bit).
-    #[inline]
-    pub fn write_entry(&self, entry: usize, slot: u32, value: bool) {
-        let word = &self.entry_bits[entry * self.words + slot as usize / 64];
-        let bit = 1u64 << (slot % 64);
-        if value {
-            word.fetch_or(bit, Ordering::Relaxed);
-        } else {
-            word.fetch_and(!bit, Ordering::Relaxed);
+    /// Admission's write of entry bits: in every entry's words, the bits
+    /// under `mask` (the admitted slots, [`Self::words`] words) become
+    /// those of `values` (entry-major, [`Self::words`] words per entry),
+    /// and every other slot's bits stay as they are. One store per
+    /// (entry, word) that `mask` touches; a reused slot never sees its
+    /// predecessor's bits.
+    ///
+    /// A partly masked word is loaded and stored as two steps, so writers
+    /// must be serialized (see the module's "Why plain loads suffice").
+    pub fn write_entries(&self, mask: &[u64], values: &[u64]) {
+        let w = self.words;
+        assert_eq!(mask.len(), w, "one mask word per query-bit word");
+        assert_eq!(values.len(), self.entry_bits.len(), "words for every entry");
+        for (entry, vals) in self.entry_bits.chunks_exact(w).zip(values.chunks_exact(w)) {
+            for ((word, &m), &v) in entry.iter().zip(mask).zip(vals) {
+                match m {
+                    0 => {}
+                    u64::MAX => word.store(v, Ordering::Relaxed),
+                    m => word.store(word.load(Ordering::Relaxed) & !m | v & m, Ordering::Relaxed),
+                }
+            }
         }
     }
 
@@ -240,8 +260,10 @@ mod tests {
         // words): q0 and q129 join the dim, q64 bypasses it.
         let join = DimJoin::new(&[10, 20], 130);
         assert_eq!(join.words(), 3);
-        join.write_entry(0, 0, true);
-        join.write_entry(1, 129, true);
+        join.write_entries(&[1, 0, 0], &[1, 0, 0, 0, 0, 0]);
+        // A second admission (slots 1 and 129) shares q0's word: its
+        // store keeps q0's bit.
+        join.write_entries(&[1 << 1, 0, 1 << 1], &[0, 0, 0, 0, 0, 1 << 1]);
         join.write_bypass(64, true);
         let schema = Schema::from_pairs(&[("fk", DataType::Int)]);
         let rows: Vec<Vec<Value>> = [10, 20, 99, 10].iter().map(|&k| vec![Value::Int(k)]).collect();

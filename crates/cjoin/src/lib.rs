@@ -11,7 +11,7 @@
 //! * [`join`] — the dimension side of a shared hash-join: a read-only
 //!   multiply-shift key index, entry-major atomic query bits and the
 //!   one-pass probe/AND/compact step over a batch's query-bit column.
-//! * [`pipeline`] — the pipeline threads, online query admission, and the
+//! * [`pipeline`] — the pipeline threads, online batch admission, and the
 //!   per-query output streams.
 //! * [`stats`] — the GQP's book-keeping counters.
 

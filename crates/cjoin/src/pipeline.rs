@@ -62,15 +62,16 @@
 //! A slot goes back only when its `SlotClaim` drops. The claim moves from
 //! the admission into `Ctl::Admit`, the preprocessor's active set and the
 //! terminal message, so it is released exactly once whichever path ends
-//! the query; an admission that fails before `Ctl::Admit` is sent drops
-//! it on the spot.
+//! the query; a batch admission that fails before its `Ctl::Admit` is
+//! sent drops every member's claim on the spot.
 //!
 //! Panics are contained ([`qs_engine::contain_panic`]) per stage thread
 //! (the channel cascade then tears the chain down and the distributors
-//! abort every open stream), per admission (it fails alone), per query
-//! predicate in the preprocessor (that query aborts), per fact page
-//! (every active query aborts) and per distributor message (the shard's
-//! open streams abort; their slots wait for their terminal messages).
+//! abort every open stream), per batch admission (it fails as a whole and
+//! alone), per query predicate in the preprocessor (that query aborts),
+//! per fact page (every active query aborts) and per distributor message
+//! (the shard's open streams abort; their slots wait for their terminal
+//! messages).
 
 use crate::join::DimJoin;
 use crate::stats::{CjoinMetrics, CjoinStats};
@@ -147,7 +148,7 @@ pub enum CjoinError {
     /// The star query does not fit this pipeline (wrong fact table or an
     /// unknown (dim, key) pair).
     Incompatible(String),
-    /// All query slots are in use.
+    /// Fewer query slots are free than the admission needs.
     Saturated,
     /// Storage failure during construction.
     Storage(qs_storage::StorageError),
@@ -156,9 +157,9 @@ pub enum CjoinError {
     /// The pipeline's stage chain has terminated (shutdown, or a stage
     /// thread died); no further admissions are possible.
     Down,
-    /// Admission-time work for this query failed (e.g. its dimension
-    /// predicate panicked while scanning the hash table). The pipeline
-    /// and its co-running queries are unaffected.
+    /// Admission-time work failed (e.g. a dimension predicate panicked
+    /// while scanning the hash table); a batch admission fails as a
+    /// whole. The pipeline and its co-running queries are unaffected.
     Admission(String),
 }
 
@@ -297,16 +298,21 @@ enum QueryEvent {
     StreamAborted(String),
 }
 
+/// One member of an admitted batch, as the preprocessor takes it over.
+struct Admission {
+    claim: SlotClaim,
+    /// Admission generation (see [`ActiveQuery::gen`]).
+    gen: u64,
+    /// Fact predicate, compiled once at admission; shared by every
+    /// page-of-rows snapshot for the query's whole revolution.
+    fact_pred: Option<Arc<CompiledPred>>,
+    output: Box<QueryOutput>,
+}
+
 enum Ctl {
-    Admit {
-        claim: SlotClaim,
-        /// Admission generation (see [`ActiveQuery::gen`]).
-        gen: u64,
-        /// Fact predicate, compiled once at admission; shared by every
-        /// page-of-rows snapshot for the query's whole revolution.
-        fact_pred: Option<Arc<CompiledPred>>,
-        output: Box<QueryOutput>,
-    },
+    /// A batch of admissions: the preprocessor takes all of them between
+    /// two pages, so every member starts its revolution on the same page.
+    Admit(Vec<Admission>),
     /// Early removal (cancellation): stop feeding the query and finish its
     /// output at the next page boundary. `gen: Some(g)` removes the
     /// occupant only if it is still admission `g` — a cancel arriving
@@ -342,7 +348,8 @@ impl CjoinCancel {
     }
 }
 
-/// Handle returned by [`CjoinPipeline::admit`].
+/// Handle returned by [`CjoinPipeline::admit`] (one per member of
+/// [`CjoinPipeline::admit_batch`]).
 pub struct CjoinQuery {
     /// Stream of joined pages for this query (fact cols ++ dim cols in the
     /// query's join order). Ends after one full fact revolution.
@@ -376,13 +383,19 @@ struct Slots {
 }
 
 impl Slots {
-    /// Take a free slot, if any.
-    fn claim(self: &Arc<Self>) -> Option<SlotClaim> {
-        let slot = self.free.lock().pop()?;
-        Some(SlotClaim {
+    /// Take `n` free slots, or none when fewer are free. The free list is
+    /// a stack: the first claim gets the slot released last.
+    fn claim(self: &Arc<Self>, n: usize) -> Option<Vec<SlotClaim>> {
+        let taken = {
+            let mut free = self.free.lock();
+            let keep = free.len().checked_sub(n)?;
+            free.split_off(keep)
+        };
+        let claims = taken.into_iter().rev().map(|slot| SlotClaim {
             slots: self.clone(),
             slot,
-        })
+        });
+        Some(claims.collect())
     }
 }
 
@@ -602,10 +615,117 @@ impl CjoinPipeline {
         self.metrics.reset();
     }
 
-    /// Admit a star query into the GQP. Returns the stream of its joined
-    /// tuples; the query is complete when the stream ends (one full fact
+    /// Admit a star query into the GQP: a batch of one
+    /// ([`Self::admit_batch`]). Returns the stream of its joined tuples;
+    /// the query is complete when the stream ends (one full fact
     /// revolution).
     pub fn admit(&self, star: &StarQuery) -> Result<CjoinQuery, CjoinError> {
+        let mut admitted = self.admit_batch(&[star])?;
+        Ok(admitted.pop().expect("a batch of one admits one query"))
+    }
+
+    /// Admit a batch of star queries into the GQP, all or none: the
+    /// streams come back in `stars` order, and every member starts its
+    /// revolution on the same fact page, so the batch costs the scan one
+    /// revolution. A batch larger than [`Self::free_slots`] is
+    /// [`CjoinError::Saturated`]; a member that does not fit the pipeline,
+    /// or admission work that fails, fails the whole batch, and every slot
+    /// it claimed goes back.
+    ///
+    /// The dimension work is shared across the batch. On each dimension
+    /// the members are grouped by identical predicate; a group is copied
+    /// from an active query with that predicate or evaluated once, over
+    /// entry chunks decoded once for every evaluated group; and each
+    /// entry's words are written once for the whole batch.
+    pub fn admit_batch(&self, stars: &[&StarQuery]) -> Result<Vec<CjoinQuery>, CjoinError> {
+        if stars.is_empty() {
+            return Ok(Vec::new());
+        }
+        let orders = stars
+            .iter()
+            .map(|star| self.dim_order(star))
+            .collect::<Result<Vec<_>, _>>()?;
+        let claims = self.slots.claim(stars.len()).ok_or(CjoinError::Saturated)?;
+        let slots: Vec<u32> = claims.iter().map(|c| c.slot).collect();
+        // Output schema: fact columns, then each dim's columns in the
+        // query's join order — identical to the query-centric join chain.
+        let schemas: Vec<Arc<Schema>> = orders
+            .iter()
+            .map(|order| {
+                order.iter().fold(self.fact_schema.clone(), |schema, &d| {
+                    schema.join(&self.dims[d as usize].schema)
+                })
+            })
+            .collect();
+
+        // The admission's own work runs on the submitter's thread,
+        // contained: a panic (a dimension predicate, the `page.alloc`
+        // failpoint on an output page) fails only this batch, and `claims`
+        // drop on the way out, releasing the slots along with any
+        // predicate-cache entries already published for them.
+        let builders = contain_panic(&self.ctx.metrics, "cjoin admission", || {
+            self.write_dimension_bits(stars, &orders, &slots);
+            schemas
+                .iter()
+                .map(|schema| PageBuilder::with_bytes(schema.clone(), self.out_page_bytes))
+                .collect::<Vec<_>>()
+        })
+        .map_err(CjoinError::Admission)?;
+
+        let mut queries = Vec::with_capacity(stars.len());
+        let mut admissions = Vec::with_capacity(stars.len());
+        let members = stars.iter().zip(claims).zip(orders).zip(schemas);
+        for ((((star, claim), dim_order), out_schema), builder) in members.zip(builders) {
+            let (hub, reader) = OutputHub::new(
+                ShareMode::Pull,
+                StageKind::Cjoin,
+                16,
+                self.ctx.metrics.clone(),
+                self.ctx.governor.clone(),
+            );
+            let slot = claim.slot;
+            let gen = self.admit_gen.fetch_add(1, Ordering::Relaxed);
+            queries.push(CjoinQuery {
+                reader,
+                hub: hub.clone(),
+                schema: out_schema.clone(),
+                slot,
+                cancel: CjoinCancel {
+                    ctl_tx: self.ctl_tx.clone(),
+                    slot,
+                    gen,
+                },
+            });
+            admissions.push(Admission {
+                claim,
+                gen,
+                fact_pred: star
+                    .fact_predicate
+                    .as_ref()
+                    .map(|e| Arc::new(CompiledPred::compile(e, &self.fact_schema))),
+                output: Box::new(QueryOutput {
+                    hub,
+                    builder,
+                    dim_order,
+                    out_schema,
+                }),
+            });
+        }
+        self.metrics
+            .admissions
+            .fetch_add(stars.len() as u64, Ordering::Relaxed);
+        // The send fails only when the preprocessor is gone (pipeline
+        // shut down or its thread died): the rejected `Ctl::Admit` drops
+        // with the claims in it, so the slots go back and a later rebuild
+        // starts clean.
+        self.ctl_tx
+            .send(Ctl::Admit(admissions))
+            .map_err(|_| CjoinError::Down)?;
+        Ok(queries)
+    }
+
+    /// `star`'s dimensions, in its join order, as pipeline positions.
+    fn dim_order(&self, star: &StarQuery) -> Result<Vec<u32>, CjoinError> {
         if star.fact_table != self.fact.name() {
             return Err(CjoinError::Incompatible(format!(
                 "fact table `{}` (pipeline serves `{}`)",
@@ -613,7 +733,6 @@ impl CjoinPipeline {
                 self.fact.name()
             )));
         }
-        // Map the query's dims (its join order) onto pipeline positions.
         let mut dim_order = Vec::with_capacity(star.dims.len());
         for d in &star.dims {
             let idx = self
@@ -638,108 +757,41 @@ impl CjoinPipeline {
             }
             dim_order.push(idx as u32);
         }
-
-        let claim = self.slots.claim().ok_or(CjoinError::Saturated)?;
-        let slot = claim.slot;
-
-        // Output schema: fact columns, then each dim's columns in the
-        // query's join order — identical to the query-centric join chain.
-        let mut out_schema = self.fact_schema.clone();
-        for &d in &dim_order {
-            out_schema = out_schema.join(&self.dims[d as usize].schema);
-        }
-
-        // The admission's own work runs on the submitter's thread,
-        // contained: a panic (a dimension predicate, the `page.alloc`
-        // failpoint on the output page) fails only this admission, and
-        // `claim` drops on the way out, releasing the slot along with any
-        // predicate-cache entry already published for it.
-        let builder = contain_panic(&self.ctx.metrics, "cjoin admission", || {
-            self.write_dimension_bits(star, &dim_order, slot);
-            PageBuilder::with_bytes(out_schema.clone(), self.out_page_bytes)
-        })
-        .map_err(CjoinError::Admission)?;
-
-        let (hub, reader) = OutputHub::new(
-            ShareMode::Pull,
-            StageKind::Cjoin,
-            16,
-            self.ctx.metrics.clone(),
-            self.ctx.governor.clone(),
-        );
-        let output = Box::new(QueryOutput {
-            hub: hub.clone(),
-            builder,
-            dim_order,
-            out_schema: out_schema.clone(),
-        });
-        self.metrics.admissions.fetch_add(1, Ordering::Relaxed);
-        let fact_pred = star
-            .fact_predicate
-            .as_ref()
-            .map(|e| Arc::new(CompiledPred::compile(e, &self.fact_schema)));
-        let gen = self.admit_gen.fetch_add(1, Ordering::Relaxed);
-        // The send fails only when the preprocessor is gone (pipeline
-        // shut down or its thread died): the rejected `Ctl::Admit` drops
-        // with the claim in it, so the slot goes back and a later rebuild
-        // starts clean.
-        self.ctl_tx
-            .send(Ctl::Admit {
-                claim,
-                gen,
-                fact_pred,
-                output,
-            })
-            .map_err(|_| CjoinError::Down)?;
-        Ok(CjoinQuery {
-            reader,
-            hub,
-            schema: out_schema,
-            slot,
-            cancel: CjoinCancel {
-                ctl_tx: self.ctl_tx.clone(),
-                slot,
-                gen,
-            },
-        })
+        Ok(dim_order)
     }
 
-    /// Write `slot`'s bypass bit and entry bits on every dimension —
-    /// *before* its bit can appear on any tuple (the `Ctl::Admit` sent
-    /// after this is what makes the preprocessor start setting it; see
-    /// the `join` module for why the stages' plain loads then see them).
-    fn write_dimension_bits(&self, star: &StarQuery, dim_order: &[u32], slot: u32) {
+    /// Write the batch members' bypass bits and entry bits on every
+    /// dimension — *before* any member's bit can appear on a tuple (the
+    /// `Ctl::Admit` sent after this is what makes the preprocessor start
+    /// setting them; see the `join` module for why the stages' plain
+    /// loads then see them). The predicate-cache lock, held throughout,
+    /// serializes every writer of entry bits.
+    fn write_dimension_bits(&self, stars: &[&StarQuery], orders: &[Vec<u32>], slots: &[u32]) {
         let mut evals = 0u64;
         let mut dedup_hits = 0u64;
         let mut cache = self.slots.preds.lock();
-        for (idx, dim) in self.dims.iter().enumerate() {
-            let Some(pos) = dim_order.iter().position(|&d| d == idx as u32) else {
-                // Entries' bits for this slot are irrelevant (bypass
-                // short-circuits).
-                dim.join.write_bypass(slot, true);
-                continue;
-            };
-            dim.join.write_bypass(slot, false);
-            let pred = &star.dims[pos].predicate;
-            let key = pred_key(pred);
-            // Predicate sharing: an *active* query with the identical
-            // predicate on this dimension already computed these bits —
-            // copy them.
-            let source = cache[idx]
-                .get(&key)
-                .filter(|(p, _)| p == pred)
-                .map(|(_, s)| *s);
-            match source {
-                Some(src) if src != slot => {
-                    for e in 0..dim.join.entries() {
-                        dim.join.write_entry(e, slot, dim.join.entry_bit(e, src));
-                    }
-                    dedup_hits += 1;
+        for (idx, (dim, cache)) in self.dims.iter().zip(cache.iter_mut()).enumerate() {
+            // The members joining this dimension, grouped by predicate.
+            let mut groups: Vec<PredGroup> = Vec::new();
+            for ((star, order), &slot) in stars.iter().zip(orders).zip(slots) {
+                // A member that bypasses the dimension needs no entry bits:
+                // its bypass bit short-circuits the join's AND.
+                let pos = order.iter().position(|&d| d == idx as u32);
+                dim.join.write_bypass(slot, pos.is_none());
+                let Some(pos) = pos else { continue };
+                let pred = &star.dims[pos].predicate;
+                match groups.iter_mut().find(|g| g.pred == pred) {
+                    Some(g) => g.slots.push(slot),
+                    None => groups.push(PredGroup {
+                        pred,
+                        slots: vec![slot],
+                    }),
                 }
-                _ => {
-                    evals += admission_scan(dim, pred, slot);
-                    cache[idx].insert(key, (pred.clone(), slot));
-                }
+            }
+            if !groups.is_empty() {
+                let (e, d) = admit_dimension(dim, &groups, cache);
+                evals += e;
+                dedup_hits += d;
             }
         }
         drop(cache);
@@ -761,38 +813,96 @@ impl Drop for CjoinPipeline {
     }
 }
 
-/// Entry chunk size of the batched dimension-admission scan: large enough
-/// to amortize the batch decode, small enough to stay cache-resident.
+/// The slots of a batch's members that bring the identical predicate to
+/// one dimension.
+struct PredGroup<'a> {
+    pred: &'a Option<Expr>,
+    slots: Vec<u32>,
+}
+
+/// Entry chunk size of the dimension-admission scan: large enough to
+/// amortize the chunk decode, small enough to stay cache-resident.
 const ADMIT_BATCH_ROWS: usize = 4096;
 
-/// Evaluate a (possibly absent) dimension predicate for `slot` over every
-/// hash-table entry, page-at-a-time: the referenced columns of a chunk of
-/// entries are decoded once and the compiled predicate runs column-wise,
-/// instead of tree-walking `Expr::eval` per entry. Returns the number of
-/// entry evaluations performed (the admission-cost metric).
-fn admission_scan(dim: &DimData, pred: &Option<Expr>, slot: u32) -> u64 {
+/// Write the entry bits of a batch's members on one dimension, `groups`
+/// holding their slots by predicate. A group whose predicate an active
+/// query in `cache` already evaluated copies that query's bits (the
+/// CJOIN prototype's predicate sharing). Every other group is evaluated
+/// once — a compiled predicate over chunks of entries whose columns are
+/// decoded once for all such groups — and published in `cache`. Each
+/// entry's words are then written once for the whole batch. Returns the
+/// entry evaluations (one per evaluated group and entry) and the
+/// dedup hits (one per member served without an evaluation of its own).
+fn admit_dimension(
+    dim: &DimData,
+    groups: &[PredGroup],
+    cache: &mut HashMap<u64, (Option<Expr>, u32)>,
+) -> (u64, u64) {
     let n = dim.join.entries();
-    let Some(pred) = pred else {
-        for e in 0..n {
-            dim.join.write_entry(e, slot, true);
+    let w = dim.join.words();
+    // The members' bits: `mask` over all of them, `values` per entry
+    // (entry-major, `w` words each).
+    let mut mask = vec![0u64; w];
+    let mut values = vec![0u64; n * w];
+    let or_entry = |values: &mut [u64], e: usize, bits: &[u64]| {
+        for (v, b) in values[e * w..(e + 1) * w].iter_mut().zip(bits) {
+            *v |= b;
         }
-        return n as u64;
     };
-    let compiled = CompiledPred::compile(pred, &dim.schema);
-    let mut scratch = PredScratch::new();
-    let mut mask: Vec<u64> = Vec::new();
-    let mut slices: Vec<&[u8]> = Vec::with_capacity(ADMIT_BATCH_ROWS.min(n));
-    for start in (0..n).step_by(ADMIT_BATCH_ROWS) {
-        let end = (start + ADMIT_BATCH_ROWS).min(n);
-        slices.clear();
-        slices.extend((start..end).map(|e| dim.row(e)));
-        let batch = ColumnBatch::from_rows(&dim.schema, &slices, compiled.columns());
-        compiled.eval_batch(&batch, &mut scratch, &mut mask);
-        for (i, e) in (start..end).enumerate() {
-            dim.join.write_entry(e, slot, mask[i / 64] & (1u64 << (i % 64)) != 0);
+    let (mut evals, mut dedup_hits) = (0u64, 0u64);
+    let mut compiled: Vec<(CompiledPred, Vec<u64>)> = Vec::new();
+    for group in groups {
+        let mut bits = vec![0u64; w];
+        for &slot in &group.slots {
+            bits[slot as usize / 64] |= 1u64 << (slot % 64);
+        }
+        for (m, b) in mask.iter_mut().zip(&bits) {
+            *m |= b;
+        }
+        let key = pred_key(group.pred);
+        let source = cache
+            .get(&key)
+            .filter(|(p, _)| p == group.pred)
+            .map(|&(_, slot)| slot);
+        if let Some(src) = source {
+            for e in (0..n).filter(|&e| dim.join.entry_bit(e, src)) {
+                or_entry(&mut values, e, &bits);
+            }
+            dedup_hits += group.slots.len() as u64;
+            continue;
+        }
+        evals += n as u64;
+        dedup_hits += group.slots.len() as u64 - 1;
+        cache.insert(key, (group.pred.clone(), group.slots[0]));
+        match group.pred {
+            None => (0..n).for_each(|e| or_entry(&mut values, e, &bits)),
+            Some(pred) => compiled.push((CompiledPred::compile(pred, &dim.schema), bits)),
         }
     }
-    n as u64
+    if !compiled.is_empty() {
+        let mut cols: Vec<usize> = compiled
+            .iter()
+            .flat_map(|(pred, _)| pred.columns().iter().copied())
+            .collect();
+        cols.sort_unstable();
+        cols.dedup();
+        let mut scratch = PredScratch::new();
+        let mut hits: Vec<u64> = Vec::new();
+        let mut slices: Vec<&[u8]> = Vec::with_capacity(ADMIT_BATCH_ROWS.min(n));
+        for start in (0..n).step_by(ADMIT_BATCH_ROWS) {
+            slices.clear();
+            slices.extend((start..(start + ADMIT_BATCH_ROWS).min(n)).map(|e| dim.row(e)));
+            let batch = ColumnBatch::from_rows(&dim.schema, &slices, &cols);
+            for (pred, bits) in &compiled {
+                pred.eval_batch(&batch, &mut scratch, &mut hits);
+                for i in iter_ones(&hits) {
+                    or_entry(&mut values, start + i, bits);
+                }
+            }
+        }
+    }
+    dim.join.write_entries(&mask, &values);
+    (evals, dedup_hits)
 }
 
 // ---------------------------------------------------------------------
@@ -1086,25 +1196,28 @@ fn preprocessor_loop(
                 }
             };
             match ctl {
-                Ctl::Admit {
-                    claim,
-                    gen,
-                    fact_pred,
-                    output,
-                } => {
-                    let slot = claim.slot;
-                    out.send(Msg::Query(slot, QueryEvent::Admitted(output)))?;
-                    if pages == 0 {
-                        // Empty fact table: the query completes instantly.
-                        out.send(Msg::Query(slot, QueryEvent::Ended(claim, Ok(()))))?;
-                    } else {
-                        active.push(ActiveQuery {
-                            claim,
-                            gen,
-                            fact_pred,
-                            remaining_pages: pages,
-                        });
-                        snapshot = None;
+                Ctl::Admit(batch) => {
+                    for Admission {
+                        claim,
+                        gen,
+                        fact_pred,
+                        output,
+                    } in batch
+                    {
+                        let slot = claim.slot;
+                        out.send(Msg::Query(slot, QueryEvent::Admitted(output)))?;
+                        if pages == 0 {
+                            // Empty fact table: the query completes instantly.
+                            out.send(Msg::Query(slot, QueryEvent::Ended(claim, Ok(()))))?;
+                        } else {
+                            active.push(ActiveQuery {
+                                claim,
+                                gen,
+                                fact_pred,
+                                remaining_pages: pages,
+                            });
+                            snapshot = None;
+                        }
                     }
                 }
                 Ctl::Remove { slot, gen } => {

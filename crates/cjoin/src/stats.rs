@@ -18,10 +18,15 @@ pub struct CjoinMetrics {
     pub tuples_dropped: AtomicU64,
     /// (tuple, query) output pairs materialized by the distributor.
     pub rows_out: AtomicU64,
-    /// Dimension-entry predicate evaluations performed by admissions.
+    /// Dimension-entry predicate evaluations performed by admissions: one
+    /// per entry for each distinct predicate a batch evaluates on a
+    /// dimension (joining without a predicate counts as one), however
+    /// many of the batch's members bring it.
     pub admission_evals: AtomicU64,
-    /// Admissions whose dimension predicate was copied from an active
-    /// query with the identical predicate (predicate sharing).
+    /// (Member, dimension) pairs admitted without an evaluation of their
+    /// own: the bits were copied from an active query with the identical
+    /// predicate (predicate sharing), or another member of the same batch
+    /// brought it.
     pub admission_dedup_hits: AtomicU64,
     /// Queries whose output was aborted by a contained fault (predicate
     /// panic, unreadable fact page, early removal after a stage fault)
@@ -74,9 +79,11 @@ pub struct CjoinStats {
     pub tuples_dropped: u64,
     /// Output rows materialized.
     pub rows_out: u64,
-    /// Admission predicate evaluations.
+    /// Admission predicate evaluations (see
+    /// [`CjoinMetrics::admission_evals`]).
     pub admission_evals: u64,
-    /// Admission predicate-sharing hits.
+    /// Admission predicate-sharing hits (see
+    /// [`CjoinMetrics::admission_dedup_hits`]).
     pub admission_dedup_hits: u64,
     /// Query outputs aborted by contained faults.
     pub aborts: u64,

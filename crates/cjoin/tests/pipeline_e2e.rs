@@ -19,8 +19,14 @@ use std::sync::Arc;
 
 /// Tiny star schema: fact(f_d1, f_d2, val) with dims d1(k, a), d2(k, a).
 fn catalog() -> Arc<Catalog> {
+    catalog_with_d1_rows(8)
+}
+
+/// [`catalog`] with `d1_rows` entries in d1 (keys past 9 match no fact
+/// row).
+fn catalog_with_d1_rows(d1_rows: i64) -> Arc<Catalog> {
     let cat = Catalog::new();
-    for (name, rows) in [("d1", 8i64), ("d2", 5i64)] {
+    for (name, rows) in [("d1", d1_rows), ("d2", 5i64)] {
         let schema = Schema::from_pairs(&[("k", DataType::Int), ("a", DataType::Int)]);
         let mut b = TableBuilder::with_page_bytes(name, schema, 64);
         for k in 0..rows {
@@ -507,4 +513,147 @@ fn failed_admission_releases_its_slot_once() {
     );
     assert_rows_match(drain(q.reader), eval(&failed, &cat).unwrap(), 0.0);
     assert_rows_match(drain(q_other.reader), eval(&other, &cat).unwrap(), 0.0);
+}
+
+/// The work claim of batch admission: on an idle pipeline, one batch's
+/// members start their revolutions on the same page, so the whole batch
+/// reads the fact table exactly once, and each dimension evaluates each of
+/// the batch's distinct predicates once per entry — two members bringing
+/// the identical predicate, or both joining without one, share it. (d1 is
+/// large enough that admitting the members one after another would let
+/// the first ones' revolutions run ahead.)
+#[test]
+fn batch_admission_costs_one_revolution_and_one_evaluation_per_predicate() {
+    let _serial = serial();
+    let cat = catalog_with_d1_rows(50_000);
+    let pipe = CjoinPipeline::new(ctx(), &cat, &spec()).unwrap();
+    let plans = [
+        // d1: `a = 1` twice, `a = 2` and no predicate (three distinct).
+        // d2: no predicate twice and `a = 0` (two distinct); one member
+        // does not join it.
+        star_plan(&cat, Some(Expr::eq(1, 1i64)), Some(None)),
+        star_plan(&cat, Some(Expr::eq(1, 1i64)), None),
+        star_plan(&cat, Some(Expr::eq(1, 2i64)), Some(Some(Expr::eq(1, 0i64)))),
+        star_plan(&cat, None, Some(None)),
+    ];
+    let stars: Vec<StarQuery> = plans
+        .iter()
+        .map(|p| StarQuery::detect(p, &cat).unwrap())
+        .collect();
+    let queries = pipe.admit_batch(&stars.iter().collect::<Vec<_>>()).unwrap();
+    let results: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = queries
+            .into_iter()
+            .map(|q| s.spawn(move || drain(q.reader)))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (plan, got) in plans.iter().zip(results) {
+        assert_rows_match(got, eval(plan, &cat).unwrap(), 0.0);
+    }
+    let entries = |t: &str| cat.get(t).unwrap().row_count() as u64;
+    let s = pipe.stats();
+    assert_eq!(s.fact_pages, cat.get("fact").unwrap().page_count() as u64);
+    assert_eq!(s.admissions, 4);
+    assert_eq!(s.completions, 4);
+    assert_eq!(s.admission_evals, 3 * entries("d1") + 2 * entries("d2"));
+    assert_eq!(s.admission_dedup_hits, 2, "one shared predicate per dim");
+    assert_eq!(pipe.free_slots(), 4);
+}
+
+/// A batch admits all its members or none: one larger than the free
+/// slots is `Saturated` and claims nothing, and neither does one with an
+/// incompatible member.
+#[test]
+fn oversized_or_incompatible_batch_admits_nothing() {
+    let _serial = serial();
+    let cat = catalog();
+    // One core permit, held while admitting: the held query cannot
+    // finish and free its slot before the checks.
+    let ctx = ctx_with_cores(1);
+    let pipe = CjoinPipeline::new(ctx.clone(), &cat, &spec()).unwrap();
+    let plan = star_plan(&cat, Some(Expr::eq(1, 1i64)), Some(None));
+    let star = StarQuery::detect(&plan, &cat).unwrap();
+    let mut bogus = star.clone();
+    bogus.dims[0].fact_key = 2; // fact.val is not a pipeline key
+    let held = ctx.governor.run(|| {
+        let held = pipe.admit(&star).unwrap();
+        let evals = pipe.stats().admission_evals;
+        assert!(matches!(
+            pipe.admit_batch(&[&star, &star, &star, &star]),
+            Err(CjoinError::Saturated)
+        ));
+        assert!(matches!(
+            pipe.admit_batch(&[&star, &bogus]),
+            Err(CjoinError::Incompatible(_))
+        ));
+        assert_eq!(pipe.free_slots(), 3, "no slot claimed");
+        let s = pipe.stats();
+        assert_eq!((s.admissions, s.admission_evals), (1, evals), "no bits");
+        held
+    });
+    assert_rows_match(drain(held.reader), eval(&plan, &cat).unwrap(), 0.0);
+    let admitted = pipe.admit_batch(&[&star, &star, &star, &star]).unwrap();
+    for q in admitted {
+        assert_rows_match(drain(q.reader), eval(&plan, &cat).unwrap(), 0.0);
+    }
+}
+
+/// A batch admission that fails on the submitter's thread — here an
+/// output page allocation, after every member's dimension bits and
+/// predicate-cache entries were written — fails as a whole, and gives each
+/// claimed slot back exactly once, cache entries included: a later batch
+/// that reuses the slots and one that brings the failed predicates again
+/// evaluate them instead of copying bits from the slots' next occupants.
+#[test]
+fn failed_batch_admission_releases_every_slot_once() {
+    let _serial = serial();
+    let cat = catalog();
+    // One core permit, held while admitting, so no query can finish (and
+    // so purge the cache itself) before the checks.
+    let ctx = ctx_with_cores(1);
+    let pipe = CjoinPipeline::new(ctx.clone(), &cat, &spec()).unwrap();
+    let failed = [
+        star_plan(&cat, Some(Expr::eq(1, 1i64)), Some(None)),
+        star_plan(&cat, Some(Expr::eq(1, 0i64)), None),
+    ];
+    let others = [
+        star_plan(&cat, Some(Expr::eq(1, 2i64)), None),
+        star_plan(&cat, Some(Expr::lt(0, 3i64)), None),
+    ];
+    let detect = |plans: &[LogicalPlan]| -> Vec<StarQuery> {
+        plans
+            .iter()
+            .map(|p| StarQuery::detect(p, &cat).unwrap())
+            .collect()
+    };
+    let (failed_stars, other_stars) = (detect(&failed), detect(&others));
+    let admitted = ctx.governor.run(|| {
+        fault::arm(0xA110C, &[("page.alloc", fault::FaultSpec::prob(1.0))]);
+        let admitted = pipe.admit_batch(&failed_stars.iter().collect::<Vec<_>>());
+        fault::disarm();
+        match admitted {
+            Err(CjoinError::Admission(msg)) => assert!(msg.contains("page.alloc"), "{msg}"),
+            Err(e) => panic!("expected an admission failure, got {e}"),
+            Ok(_) => panic!("admission succeeded with `page.alloc` armed"),
+        }
+        assert_eq!(pipe.free_slots(), 4, "every claimed slot came back");
+        assert_eq!(pipe.stats().admissions, 0);
+        // `others` take the failed batch's slots, so a surviving cache
+        // entry of them would hand `others`' bits to the re-admission.
+        let others = pipe.admit_batch(&other_stars.iter().collect::<Vec<_>>());
+        let again = pipe.admit_batch(&failed_stars.iter().collect::<Vec<_>>());
+        let mut admitted = others.unwrap();
+        admitted.extend(again.unwrap());
+        assert_eq!(pipe.free_slots(), 0);
+        admitted
+    });
+    assert_eq!(
+        pipe.stats().admission_dedup_hits,
+        0,
+        "every re-admitted predicate was evaluated"
+    );
+    for (q, plan) in admitted.into_iter().zip(others.iter().chain(&failed)) {
+        assert_rows_match(drain(q.reader), eval(plan, &cat).unwrap(), 0.0);
+    }
 }

@@ -1,5 +1,5 @@
 //! Property-based tests for CJOIN: for random mini star schemas, random
-//! predicates and random admission interleavings, every query's GQP output
+//! predicates and random batch admissions, every query's GQP output
 //! equals its query-centric evaluation — the fundamental transparency
 //! invariant of proactive sharing.
 
@@ -14,14 +14,15 @@ use qs_storage::{
 };
 use std::sync::Arc;
 
-fn ctx() -> Arc<ExecCtx> {
+/// `cores` core permits (0 = ungoverned).
+fn ctx(cores: usize) -> Arc<ExecCtx> {
     let metrics = Metrics::new();
     Arc::new(ExecCtx {
         pool: Arc::new(BufferPool::new(
             BufferPoolConfig::unbounded(),
             Arc::new(DiskModel::new(DiskConfig::memory_resident())),
         )),
-        governor: CoreGovernor::new(0, metrics.clone()),
+        governor: CoreGovernor::new(cores, metrics.clone()),
         workers: qs_engine::WorkerPool::new(1, metrics.clone()),
         metrics,
         out_page_bytes: 256,
@@ -148,10 +149,16 @@ fn drain(mut r: Box<dyn BatchSource>) -> Vec<Vec<Value>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// The random stars are admitted as random batch splits. With `held`,
+    /// every batch is admitted while the test holds the only core permit,
+    /// so no member finishes before the later batches' bits land in the
+    /// same query-bit word as its own; otherwise the batches arrive while
+    /// the earlier ones' revolutions run.
     #[test]
     fn gqp_equals_query_centric_for_random_stars(
         star in mini_star(),
-        // up to 4 concurrent queries, each choosing dims and predicates
+        // up to 6 concurrent queries, each choosing dims and predicates,
+        // and whether it starts a new batch
         specs in prop::collection::vec(
             (
                 prop::collection::vec(
@@ -162,16 +169,19 @@ proptest! {
                     3,
                 ),
                 prop::option::of(0i64..100),
+                any::<bool>(),
             ),
-            1..4,
+            1..7,
         ),
+        held in any::<bool>(),
     ) {
         let cat = build_catalog(&star);
-        let pipe = CjoinPipeline::new(ctx(), &cat, &pipeline_spec(&star)).unwrap();
+        let ctx = ctx(usize::from(held));
+        let pipe = CjoinPipeline::new(ctx.clone(), &cat, &pipeline_spec(&star)).unwrap();
         let n_dims = star.dim_sizes.len();
 
         let mut plans = Vec::new();
-        for (choice, fact_pred) in &specs {
+        for (choice, fact_pred, _) in &specs {
             let mut choice = choice[..n_dims].to_vec();
             // ensure at least one dim joined (star queries need a join)
             if choice.iter().all(|c| c.is_none()) {
@@ -179,16 +189,26 @@ proptest! {
             }
             plans.push(star_plan(&star, &choice, *fact_pred));
         }
-
-        // Admit all queries (interleaved with the pipeline running), then
-        // drain them concurrently.
-        let queries: Vec<_> = plans
+        let stars: Vec<StarQuery> = plans
             .iter()
-            .map(|p| {
-                let sq = StarQuery::detect(p, &cat).expect("star");
-                pipe.admit(&sq).expect("admit")
-            })
+            .map(|p| StarQuery::detect(p, &cat).expect("star"))
             .collect();
+        let mut batches: Vec<Vec<&StarQuery>> = Vec::new();
+        for (star, (_, _, new_batch)) in stars.iter().zip(&specs) {
+            match batches.last_mut() {
+                Some(batch) if !new_batch => batch.push(star),
+                _ => batches.push(vec![star]),
+            }
+        }
+
+        // Admit every batch, then drain the queries concurrently.
+        let admit_all = || {
+            batches
+                .iter()
+                .flat_map(|batch| pipe.admit_batch(batch).expect("admit"))
+                .collect::<Vec<_>>()
+        };
+        let queries = if held { ctx.governor.run(admit_all) } else { admit_all() };
         let results: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = queries
                 .into_iter()

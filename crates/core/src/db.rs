@@ -20,11 +20,14 @@
 //!
 //! Every submission takes one path, [`SharingDb::submit_batch_with`]. Each
 //! plan is first *routed*: a fixed mode is a router that always answers
-//! with itself, while `Auto` asks [`crate::router::decide`]. It is then
-//! *dispatched*: a GQP route of a star plan is admitted to CJOIN (or, under
-//! GQP+SP, subscribes to an identical live admission); every other plan
-//! joins the batch's one engine batch under its route's sharing policy, so
-//! the reactive members of a batch share one SP window in every mode.
+//! with itself, while `Auto` asks [`crate::router::decide`]. The batch's GQP
+//! routes of star plans are then admitted to CJOIN together, in one batch
+//! admission (under GQP+SP, a star identical to a live admission or to an
+//! earlier member subscribes to it instead). Last, each plan is
+//! *dispatched*: a CJOIN member to the operators above its join, every
+//! other plan into the batch's one engine batch under its route's sharing
+//! policy, so the reactive members of a batch share one SP window in every
+//! mode.
 
 use parking_lot::Mutex;
 use qs_cjoin::{CjoinPipeline, CjoinStats, PipelineSpec};
@@ -110,7 +113,11 @@ pub struct DbConfig {
     /// Operator output page bytes.
     pub out_page_bytes: usize,
     /// Override the per-stage SP policy implied by `mode` (e.g.
-    /// Scenario I uses SP at the scan stage only).
+    /// Scenario I uses SP at the scan stage only). It applies to plans run
+    /// on the engine; the operators above a CJOIN stream run query-centric
+    /// whatever the policy ([`QpipeEngine::submit_consumer_with`] does not
+    /// apply [`QueryOpts::sharing`]), so under the GQP modes it reaches
+    /// only the non-star plans.
     pub sharing_override: Option<SharingPolicy>,
     /// CJOIN pipeline shape; required for the GQP modes.
     pub pipeline: Option<PipelineSpec>,
@@ -229,6 +236,9 @@ impl Drop for CjoinLease {
         self.cancel.cancel();
     }
 }
+
+/// A CJOIN member's output stream and the lease on its admission.
+type CjoinSource = (Box<dyn BatchSource>, Arc<CjoinLease>);
 
 /// Where one plan goes ([`SharingDb::route`]).
 struct Route {
@@ -423,13 +433,11 @@ impl SharingDb {
     /// Submit a coordinated batch (the demo's batching knob). Every member
     /// that runs on the engine — all of them under QC and the SP modes,
     /// the non-star plans under the GQP modes, the reactive routes under
-    /// Auto — is built before any of them starts (maximal SP window).
-    /// CJOIN members are admitted one after another while the fact scan
-    /// keeps running, so each starts its revolution on whatever page the
-    /// scan has reached — the batch's revolutions are staggered, not
-    /// aligned. What the batch buys there is sharing: output hubs stay
-    /// pinned until every plan is submitted, so identical CJOIN sub-plans
-    /// in the batch ride one admission.
+    /// Auto — is built before any of them starts (maximal SP window). The
+    /// CJOIN members are admitted together, in one
+    /// [`CjoinPipeline::admit_batch`], so their revolutions start on the
+    /// same fact page and the batch costs the scan one revolution; under
+    /// GQP+SP, identical CJOIN sub-plans in the batch ride one admission.
     pub fn submit_batch(&self, plans: &[LogicalPlan]) -> Result<Vec<QueryTicket>, EngineError> {
         self.submit_batch_with(plans, &QueryOpts::default())
     }
@@ -446,21 +454,19 @@ impl SharingDb {
         // and a queue wait never holds packets another query may already
         // subscribe to. One permit per query, CJOIN routes included — the
         // consumer half of a CJOIN query takes none of its own.
-        let routed = plans
-            .iter()
-            .map(|plan| {
-                let route = self.route(plan);
-                let permit = self.engine.admission().map(|gate| gate.admit()).transpose()?;
-                Ok((route, permit))
-            })
-            .collect::<Result<Vec<_>, EngineError>>()?;
+        let mut routes = Vec::with_capacity(plans.len());
+        let mut permits = Vec::with_capacity(plans.len());
+        for plan in plans {
+            routes.push(self.route(plan));
+            let gate = self.engine.admission();
+            permits.push(gate.map(|gate| gate.admit()).transpose()?);
+        }
+        let sources = self.admit_stars(&routes)?;
         let mut batch = self.engine.batch();
-        let mut pins = Vec::new();
-        let tickets = plans
-            .iter()
-            .zip(routed)
-            .map(|(plan, (route, permit))| {
-                self.dispatch(plan, opts, route, permit, &mut batch, &mut pins)
+        let members = plans.iter().zip(routes).zip(permits).zip(sources);
+        let tickets = members
+            .map(|(((plan, route), permit), source)| {
+                self.dispatch(plan, opts, route, permit, source, &mut batch)
             })
             .collect::<Result<Vec<_>, _>>()?;
         batch.dispatch();
@@ -520,28 +526,22 @@ impl SharingDb {
         }
     }
 
-    /// Send one routed plan on its way: a GQP route of a star plan to
-    /// CJOIN, every other plan into the batch's engine batch under its
-    /// route's sharing policy. `permit` (taken at routing) rides the
-    /// ticket.
+    /// Send one routed plan on its way: a star already admitted to CJOIN
+    /// (`source`, from [`Self::admit_stars`]) to the query-centric
+    /// operators above its join, every other plan into the batch's engine
+    /// batch under its route's sharing policy. `permit` (taken at routing)
+    /// rides the ticket.
     fn dispatch(
         &self,
         plan: &LogicalPlan,
         opts: &QueryOpts,
         route: Route,
         permit: Option<AdmissionPermit>,
+        source: Option<CjoinSource>,
         batch: &mut BatchBuilder<'_>,
-        pins: &mut Vec<Arc<OutputHub>>,
     ) -> Result<QueryTicket, EngineError> {
-        // A GQP route starts Auto's pipeline on first use.
-        let cjoin = route.star.as_ref().and_then(|star| {
-            let start = || start_pipeline(&self.engine, &self.catalog, &self.config).ok();
-            Some((self.pipeline.get_or_init(start).as_ref()?, star))
-        });
-        let mut ticket = match cjoin {
-            Some((cjoin, star)) => {
-                let share = route.mode == ExecutionMode::GqpSp;
-                let (source, lease) = self.admit(cjoin, star, share, pins)?;
+        let mut ticket = match source {
+            Some((source, lease)) => {
                 // Run the query-centric operators above the join on the
                 // CJOIN output: `submit_consumer_with` replaces the plan's
                 // join/scan leaf with the external stream.
@@ -570,70 +570,112 @@ impl SharingDb {
         Ok(ticket)
     }
 
-    /// A CJOIN output stream for a GQP-routed star, and the lease that
-    /// holds its admission. Under GQP+SP (`share`) an identical live
-    /// admission is subscribed to instead (an SP hit at the CJOIN stage),
-    /// and a new one is published and its hub pinned in `pins` until the
-    /// batch is submitted: a small fact table's revolution can end between
-    /// two members, and pull-mode hubs replay their whole history to late
-    /// subscribers, so pinning keeps identical members on one admission.
-    fn admit(
-        &self,
-        cjoin: &CjoinPipeline,
-        star: &StarQuery,
-        share: bool,
-        pins: &mut Vec<Arc<OutputHub>>,
-    ) -> Result<(Box<dyn BatchSource>, Arc<CjoinLease>), EngineError> {
+    /// The CJOIN output stream, and the lease that holds its admission,
+    /// of every member of a batch that rides CJOIN (`None` for the rest).
+    /// The GQP routes of star plans are admitted in one
+    /// [`CjoinPipeline::admit_batch`], all or none. Under GQP+SP a member
+    /// whose join signature has a live admission subscribes to it instead
+    /// (an SP hit at the CJOIN stage), and so does a member identical to
+    /// an earlier one of the same batch, to the hub of that member's new
+    /// admission; the new admissions are published for later batches.
+    fn admit_stars(&self, routes: &[Route]) -> Result<Vec<Option<CjoinSource>>, EngineError> {
+        let mut sources: Vec<Option<CjoinSource>> = routes.iter().map(|_| None).collect();
+        if routes.iter().all(|r| r.star.is_none()) {
+            return Ok(sources);
+        }
+        // A GQP route starts Auto's pipeline on first use.
+        let start = || start_pipeline(&self.engine, &self.catalog, &self.config).ok();
+        let Some(cjoin) = self.pipeline.get_or_init(start).as_ref() else {
+            return Ok(sources);
+        };
         let metrics = self.engine.metrics_handle();
-        let sig = star.join_signature();
         // Held across the admission, so two identical stars cannot both
         // miss and admit twice.
-        let mut reg = share.then(|| self.cjoin_registry.lock());
-        if let Some(reg) = &reg {
-            // A hit needs the hub (to subscribe), a live lease (a dead
-            // lease means the admission is being torn down — treat as a
-            // miss and replace the entry), and an open SP window.
-            let hit = reg.get(&sig).and_then(|e| {
-                let reader = e.hub.upgrade()?.subscribe()?;
-                // Upgrade the lease *last* so a successfully-created
-                // `Arc<CjoinLease>` is always moved out of this locked
-                // scope: dropping the last lease ref here would re-lock
-                // the registry in `CjoinLease::drop` and self-deadlock.
-                let lease = e.lease.upgrade()?;
-                Some((reader, lease))
-            });
-            if let Some(hit) = hit {
-                metrics.sp_hit(StageKind::Cjoin);
-                return Ok(hit);
+        let mut reg = self.cjoin_registry.lock();
+        // The members to admit (member index, sharing?, signature), and
+        // the in-batch duplicates (member index, index into `admit`).
+        let mut admit: Vec<(usize, bool, u64)> = Vec::new();
+        let mut stars: Vec<&StarQuery> = Vec::new();
+        let mut duplicates: Vec<(usize, usize)> = Vec::new();
+        let mut hits = 0;
+        for (i, route) in routes.iter().enumerate() {
+            let Some(star) = &route.star else { continue };
+            let share = route.mode == ExecutionMode::GqpSp;
+            let sig = star.join_signature();
+            if share {
+                // A hit needs the hub (to subscribe), a live lease (a dead
+                // lease means the admission is being torn down — treat as
+                // a miss and replace the entry), and an open SP window.
+                let hit = reg.get(&sig).and_then(|e| {
+                    let reader = e.hub.upgrade()?.subscribe()?;
+                    // Upgrade the lease *last*, so a successfully created
+                    // `Arc<CjoinLease>` always lands in `sources`.
+                    let lease = e.lease.upgrade()?;
+                    Some((reader, lease))
+                });
+                if hit.is_some() {
+                    sources[i] = hit;
+                    hits += 1;
+                    continue;
+                }
+                if let Some(j) = admit.iter().position(|&(_, sh, s)| sh && s == sig) {
+                    duplicates.push((i, j));
+                    hits += 1;
+                    continue;
+                }
             }
-            metrics.sp_miss(StageKind::Cjoin);
+            admit.push((i, share, sig));
+            stars.push(star);
         }
-        let q = cjoin
-            .admit(star)
-            .map_err(|e| EngineError::Aborted(e.to_string()))?;
-        metrics.packet(StageKind::Cjoin);
-        let lease = Arc::new(CjoinLease {
-            sig,
-            cancel: q.cancel.clone(),
-            registry: match reg {
-                Some(_) => Arc::downgrade(&self.cjoin_registry),
-                None => Weak::new(),
-            },
-        });
-        if let Some(reg) = &mut reg {
-            reg.insert(
+        let admitted = match cjoin.admit_batch(&stars) {
+            Ok(admitted) => admitted,
+            Err(e) => {
+                // Unlock before the hits' leases in `sources` drop: the
+                // last one's `CjoinLease::drop` re-locks the registry.
+                drop(reg);
+                drop(sources);
+                return Err(EngineError::Aborted(e.to_string()));
+            }
+        };
+        let mut hubs = Vec::with_capacity(admitted.len());
+        for (q, &(i, share, sig)) in admitted.into_iter().zip(&admit) {
+            metrics.packet(StageKind::Cjoin);
+            let lease = Arc::new(CjoinLease {
                 sig,
-                ShareEntry {
-                    hub: Arc::downgrade(&q.hub),
-                    lease: Arc::downgrade(&lease),
+                cancel: q.cancel.clone(),
+                registry: if share {
+                    Arc::downgrade(&self.cjoin_registry)
+                } else {
+                    Weak::new()
                 },
-            );
-            if reg.len() > 1024 {
-                reg.retain(|_, e| e.hub.strong_count() > 0);
+            });
+            if share {
+                metrics.sp_miss(StageKind::Cjoin);
+                reg.insert(
+                    sig,
+                    ShareEntry {
+                        hub: Arc::downgrade(&q.hub),
+                        lease: Arc::downgrade(&lease),
+                    },
+                );
             }
-            pins.push(q.hub.clone());
+            hubs.push((q.hub, lease.clone()));
+            sources[i] = Some((q.reader, lease));
         }
-        Ok((q.reader, lease))
+        for (i, j) in duplicates {
+            let (hub, lease) = &hubs[j];
+            let reader = hub
+                .subscribe()
+                .expect("a pull-mode hub accepts subscribers for its whole life");
+            sources[i] = Some((reader, lease.clone()));
+        }
+        for _ in 0..hits {
+            metrics.sp_hit(StageKind::Cjoin);
+        }
+        if reg.len() > 1024 {
+            reg.retain(|_, e| e.hub.strong_count() > 0);
+        }
+        Ok(sources)
     }
 }
 
@@ -977,7 +1019,8 @@ mod tests {
         let plan = open_star_plan(&db);
         let expect = qc.submit(&plan).unwrap().drain().unwrap();
 
-        // Two tickets share one admission (batch pins the hub).
+        // Two tickets share one admission: the batch's second member
+        // subscribes to the first's.
         let tickets = db.submit_batch(&[plan.clone(), plan.clone()]).unwrap();
         let m = db.metrics();
         assert_eq!(m.sp_hits_for(qs_engine::StageKind::Cjoin), 1);
@@ -996,6 +1039,121 @@ mod tests {
         // cancelled stream.
         let t = db.submit(&plan).unwrap();
         assert_eq!(t.drain().unwrap(), expect);
+    }
+
+    /// Sixteen SSB stars, slot `i` template `i mod 3` with variant
+    /// `i mod 4`: twelve distinct CJOIN sub-plans and four duplicates.
+    fn sixteen_stars(cat: &Catalog) -> Vec<LogicalPlan> {
+        use qs_workload::ssb::queries::TemplateParams;
+        use qs_workload::SsbTemplate;
+        let templates = [SsbTemplate::Q2_1, SsbTemplate::Q3_2, SsbTemplate::Q4_1];
+        (0..16u64)
+            .map(|i| {
+                let params = TemplateParams::variant(i % 4);
+                templates[i as usize % 3].plan(cat, &params).unwrap()
+            })
+            .collect()
+    }
+
+    /// A batch's CJOIN members are admitted together: the whole batch
+    /// reads the fact table once. Under GQP+SP it admits each distinct
+    /// join signature once and its duplicates subscribe (SP hits at the
+    /// CJOIN stage); under GQP every member is admitted. Under `Auto`, a
+    /// batch mixing CJOIN and engine members returns its tickets in plan
+    /// order. Every answer matches the oracle.
+    #[test]
+    fn batch_admits_its_stars_together_in_one_revolution() {
+        // Runs CJOIN pipelines: serialize on the fault registry.
+        let _guard = qs_storage::fault::test_guard();
+        use qs_engine::reference::{canon, eval};
+        let cat = tiny_ssb();
+        let plans = sixteen_stars(&cat);
+        let signatures: std::collections::HashSet<u64> = plans
+            .iter()
+            .map(|p| StarQuery::detect(p, &cat).unwrap().join_signature())
+            .collect();
+        let distinct = signatures.len() as u64;
+        assert!(distinct < 16, "the batch has duplicates");
+        let oracle = |plan: &LogicalPlan| canon(eval(plan, &cat).unwrap());
+        let expect: Vec<_> = plans.iter().map(oracle).collect();
+        let revolution = cat.get("lineorder").unwrap().page_count() as u64;
+        for (mode, admissions) in [(ExecutionMode::GqpSp, distinct), (ExecutionMode::Gqp, 16)] {
+            let label = mode.label();
+            let db = SharingDb::new(cat.clone(), DbConfig::new(mode)).unwrap();
+            let tickets = db.submit_batch(&plans).unwrap();
+            for (t, expect) in tickets.into_iter().zip(&expect) {
+                assert_eq!(canon(t.collect_rows().unwrap()), *expect, "{label}: rows");
+            }
+            let c = db.cjoin_stats().unwrap();
+            assert_eq!(c.admissions, admissions, "{label}: admissions");
+            let sp_hits = db.metrics().sp_hits_for(StageKind::Cjoin);
+            assert_eq!(sp_hits, 16 - admissions, "{label}: CJOIN-stage SP hits");
+            assert_eq!(c.fact_pages, revolution, "{label}: one revolution");
+        }
+
+        let db = SharingDb::new(cat.clone(), DbConfig::new(ExecutionMode::Auto)).unwrap();
+        let mixed = [
+            plans[0].clone(),
+            date_scan(),
+            plans[1].clone(),
+            open_star_plan(&db),
+            date_scan(),
+            plans[2].clone(),
+        ];
+        let tickets = db.submit_batch(&mixed).unwrap();
+        let routes: Vec<_> = tickets.iter().map(|t| t.route().unwrap()).collect();
+        let (cjoin, engine) = ("GQP+SP", "SP-SPL");
+        assert_eq!(routes, [cjoin, engine, cjoin, cjoin, engine, cjoin]);
+        for (t, plan) in tickets.into_iter().zip(&mixed) {
+            assert_eq!(canon(t.collect_rows().unwrap()), oracle(plan));
+        }
+        assert_eq!(db.cjoin_stats().unwrap().fact_pages, revolution);
+    }
+
+    /// A GQP+SP batch that CJOIN cannot admit fails as a whole, after one
+    /// of its members took a lease on a live admission: the share registry
+    /// is unlocked before that lease drops (`CjoinLease::drop` re-locks
+    /// it), no slot stays claimed, and the live admission, its registry
+    /// entry and later batches are unaffected.
+    #[test]
+    fn failed_batch_admission_leaves_the_share_registry_usable() {
+        // Runs a CJOIN pipeline: serialize on the fault registry.
+        let _guard = qs_storage::fault::test_guard();
+        use qs_engine::reference::{canon, eval};
+        let cat = tiny_ssb();
+        let plans = sixteen_stars(&cat);
+        let mut cfg = DbConfig::new(ExecutionMode::GqpSp);
+        cfg.cores = 1;
+        cfg.pipeline = Some(PipelineSpec {
+            max_queries: 4,
+            ..ssb_pipeline_spec(&cat).unwrap()
+        });
+        let db = SharingDb::new(cat.clone(), cfg).unwrap();
+        let cjoin = db.active_cjoin().unwrap();
+        // Holding the only core permit: the live admission cannot finish
+        // (and drop out of the registry) during the checks.
+        let (live, retry) = db.engine.ctx().governor.run(|| {
+            let live = db.submit(&plans[0]).unwrap();
+            // A hit on `live`, then four new stars for three free slots.
+            let failed = db.submit_batch(&plans[..5]);
+            assert!(
+                matches!(&failed, Err(EngineError::Aborted(m)) if m.contains("saturated")),
+                "{:?}",
+                failed.map(|_| ())
+            );
+            assert_eq!(cjoin.free_slots(), 3, "the failed batch holds no slot");
+            assert_eq!(cjoin.stats().admissions, 1);
+            // The live admission is still published: a new batch hits it.
+            let retry = db.submit_batch(&plans[..3]).unwrap();
+            assert_eq!(cjoin.stats().admissions, 3);
+            (live, retry)
+        });
+        assert_eq!(db.metrics().sp_hits_for(StageKind::Cjoin), 1);
+        let tickets = [live].into_iter().chain(retry);
+        for (t, plan) in tickets.zip(plans[..1].iter().chain(&plans[..3])) {
+            let expect = canon(eval(plan, &cat).unwrap());
+            assert_eq!(canon(t.collect_rows().unwrap()), expect);
+        }
     }
 
     #[test]

@@ -463,6 +463,10 @@ impl QpipeEngine {
     /// permit is taken here: CJOIN admission is governed by the GQP's own
     /// slot table, and double-gating the consumer half would deadlock a
     /// full gate against the already-admitted producer half.
+    ///
+    /// `opts.sharing` is not applied: the operators above `input` run
+    /// query-centric, so consumers of identical streams (GQP+SP
+    /// subscribers to one CJOIN admission) each run their own.
     pub fn submit_consumer_with(
         &self,
         above_plan: &LogicalPlan,
